@@ -21,8 +21,6 @@ from .errors import (
 )
 from .kernels import (
     QRFactors,
-    lu_solve,
-    mat_mul,
     numerical_rank,
     pinv_oracle,
     qr_thin,
@@ -68,9 +66,7 @@ __all__ = [
     "baseline_solve",
     "build_workspace",
     "gen_gaussian",
-    "lu_solve",
     "make_iterative_base",
-    "mat_mul",
     "normal_cg_solve",
     "numerical_rank",
     "pinv_oracle",

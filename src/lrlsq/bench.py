@@ -127,8 +127,9 @@ def _timed_pair(a, b, base, u, v):
 def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     """Run the sweep; returns per-rep records (and writes CSV if configured).
 
-    Any solver error aborts the run, re-raised with the offending
-    (n, r, rep) attached.
+    Any solver error aborts the run, re-raised as the same type with the
+    offending (n, r, rep) attached and the original's attributes (for
+    example a ConvergenceFailure's ``iterations`` and ``residuals``) kept.
     """
     records: list[BenchRecord] = []
     for n in cfg.n_list:
@@ -151,10 +152,13 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                         speedup=t_scratch / t_upd, rel_forward_error=rel,
                     ))
             except LrlsqError as err:
-                raise type(err)(
+                wrapped = type(err)(
                     f"benchmark instance m={cfg.m}, n={n}, r={r} failed at "
                     f"{stage}: {err}"
-                ) from err
+                )
+                # Keep diagnostics such as ConvergenceFailure.iterations.
+                vars(wrapped).update(vars(err))
+                raise wrapped from err
     if cfg.out_path is not None:
         write_bench_csv(cfg.out_path, records)
     return records

@@ -43,24 +43,6 @@ def _as_2d(a, name: str) -> np.ndarray:
     return a
 
 
-def mat_mul(a, b, transpose_a: bool = False) -> np.ndarray:
-    """Matrix product ``a @ b``, or ``a.T @ b`` when ``transpose_a`` is set.
-
-    A dimension-checked front over BLAS gemm; exists so callers have one
-    entry point that turns shape bugs into DimensionMismatch instead of a
-    numpy broadcast surprise.
-    """
-    a = _as_2d(a, "a")
-    b = _as_2d(b, "b")
-    inner = a.shape[0] if transpose_a else a.shape[1]
-    if inner != b.shape[0]:
-        op = "a.T @ b" if transpose_a else "a @ b"
-        raise DimensionMismatch(
-            f"cannot form {op} with shapes {a.shape} and {b.shape}"
-        )
-    return (a.T if transpose_a else a) @ b
-
-
 def qr_thin(a, rank_tol: float | None = None) -> QRFactors:
     """Thin Householder QR of a tall full-column-rank matrix.
 
@@ -127,6 +109,31 @@ def solve_upper_triangular(r, b, transpose: bool = False) -> np.ndarray:
     )
 
 
+def invert_upper_triangular(r) -> np.ndarray:
+    """Inverse of an upper-triangular r, via LAPACK trtri.
+
+    Only the upper triangle of r is read, as in ``solve_upper_triangular``.
+    The result is upper triangular and C-contiguous, so that products
+    ``c @ inv`` with a skinny row-major c run in BLAS's fast orientation.
+    Costs about n^3 / 3 flops; worth it when r is solved against many times.
+
+    Raises SingularMatrix if r has a zero diagonal entry.
+    """
+    r = _as_2d(r, "r")
+    n = r.shape[0]
+    if r.shape[1] != n:
+        raise DimensionMismatch(f"r must be square, got shape {r.shape}")
+    if n == 0:  # trtri rejects a zero leading dimension
+        return np.zeros((0, 0))
+    inv, info = scipy.linalg.lapack.dtrtri(r, lower=0)
+    if info > 0:
+        raise SingularMatrix(
+            f"triangular factor has a zero diagonal entry at index {info - 1}"
+        )
+    # trtri leaves the strictly lower part of its input in place.
+    return np.triu(inv)
+
+
 def lu_factor_checked(c, pivot_tol: float | None = None):
     """LU-factor a small square matrix and estimate its conditioning.
 
@@ -173,17 +180,6 @@ def lu_apply(factors, b) -> np.ndarray:
             f"factored system of order {lu.shape[0]}"
         )
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def lu_solve(c, b, pivot_tol: float | None = None):
-    """Solve the small square system ``c @ x = b`` with partial pivoting.
-
-    Returns ``(x, rcond)``; rcond is the reciprocal condition estimate of c,
-    reported as a diagnostic. See ``lu_factor_checked`` for the singularity
-    contract.
-    """
-    factors, rcond = lu_factor_checked(c, pivot_tol)
-    return lu_apply(factors, b), rcond
 
 
 def pinv_oracle(a, rank_tol: float | None = None) -> np.ndarray:

@@ -17,6 +17,15 @@ solver detects and rejects rank-dropping updates. The n x n correction is
 never materialized; ``prepare``/``build_workspace``/``solve_updated`` carry
 only z (n x 2r), yt (2r x n) and the factored 2r x 2r capacitance.
 
+With the QR backend, ``prepare`` inverts R once, so ``z`` costs two
+n x n by n x 2r products instead of two triangular solves. The update
+path then does all of its level-3 work through numpy's BLAS: scipy
+bundles a second OpenBLAS whose thread pool, once woken by a multi-column
+triangular solve, keeps spinning and slows numpy's next product over
+``a`` (see the README's performance note). Skinny products are written
+with the skinny operand on the left, ``u.T @ a`` rather than
+``a.T @ u``, which is the faster layout for C-ordered ``a``.
+
 Everything here is immutable after construction and pure in the solve
 path: one PreparedBase may serve many workspaces, and one workspace many
 right-hand sides, concurrently.
@@ -104,8 +113,9 @@ class UpdateWorkspace:
     """Per-update state, reusable across right-hand sides.
 
     x_blk : n x 2r block ``[v, a.T @ u]``.
-    yt    : 2r x n block ``[u.T @ a + (u.T u) v.T; v.T]``; reuses a.T @ u
-            from x_blk rather than touching the updated matrix.
+    yt    : 2r x n block ``[u.T @ a + (u.T u) v.T; v.T]``; shares the one
+            product u.T @ a with x_blk rather than touching the updated
+            matrix.
     z     : n x 2r solution of ``(a.T a) z = x_blk``; its first r columns
             are ``(a.T a)^{-1} v``, reused by the solve step.
     cap_factors, cap_rcond : LU factorization and reciprocal condition
@@ -178,11 +188,13 @@ def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None,
             ne_tol: float = NE_TOL) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
-    With the default "qr" backend this computes the thin QR of ``a`` and
-    installs ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` via two triangular
-    solves. Backend "cg" (alias "iterative") installs the matrix-free
-    conjugate-gradient solver from :mod:`lrlsq.cgls` instead; ``cfg`` is its
-    IterativeConfig.
+    With the default "qr" backend this computes the thin QR of ``a``,
+    inverts R once (about n^3 / 3 flops beside the QR's 2 m n^2), and
+    installs ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` as two matrix products
+    with that inverse. Base least squares solves, such as the one for ``b``,
+    stay a single triangular solve, ``R x = Q.T rhs``. Backend "cg" (alias
+    "iterative") installs the matrix-free conjugate-gradient solver from
+    :mod:`lrlsq.cgls` instead; ``cfg`` is its IterativeConfig.
 
     If ``b`` is given, the base solution ``x0`` is computed and bound to it
     (or validated against it, if supplied). Solves against a different b
@@ -204,11 +216,12 @@ def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None,
     if m < n:
         raise DimensionMismatch(f"prepare requires m >= n, got shape {a.shape}")
     f = kernels.qr_thin(a)
+    rinv = kernels.invert_upper_triangular(f.r)
 
     def ata_solver(c):
-        return kernels.solve_upper_triangular(
-            f.r, kernels.solve_upper_triangular(f.r, c, transpose=True)
-        )
+        # (R^{-T} c).T = c.T R^{-1}, then R^{-1} y = (y.T R^{-T}).T: both
+        # products keep the skinny operand on the left of the n x n inverse.
+        return ((c.T @ rinv) @ rinv.T).T
 
     def lstsq_solver(rhs):
         return kernels.solve_upper_triangular(f.r, f.q.T @ rhs)
@@ -224,7 +237,9 @@ def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None,
 def ata_solve(base: PreparedBase, c) -> np.ndarray:
     """Solve ``(a.T a) z = c`` through the base's installed solver.
 
-    c may hold several stacked columns. The result z satisfies
+    c may hold several stacked columns. With the QR backend this is two
+    products with the prepared R^{-1}; with the CG backend, one CG run per
+    column. The result z satisfies
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
     """
@@ -240,8 +255,9 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate,
                     cap_guard: float = CAP_GUARD) -> UpdateWorkspace:
     """Assemble the per-update state: blocks, 2r system solves, capacitance.
 
-    Costs 2r solves against ``a.T a`` plus one m x n by m x r product; after
-    this, every right-hand side is an O(mn) solve.
+    Costs one r x m by m x n product ``u.T @ a``, which both blocks share,
+    plus 2r solves against ``a.T a``; after this, every right-hand side is
+    an O(mn) solve.
 
     Raises SingularCapacitance when ``I + yt @ z`` is singular or its
     estimated rcond falls below ``2r * eps * cap_guard``, the signature of
@@ -253,9 +269,9 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate,
             f"update of shapes u={u.shape}, v={v.shape} does not conform "
             f"with base of shape ({base.m}, {base.n})"
         )
-    atu = base.a.T @ u
-    x_blk = np.hstack([v, atu])
-    yt = np.vstack([atu.T + (u.T @ u) @ v.T, v.T])
+    uta = u.T @ base.a
+    x_blk = np.hstack([v, uta.T])
+    yt = np.vstack([uta + (u.T @ u) @ v.T, v.T])
     z = ata_solve(base, x_blk)
     cap = np.eye(2 * r) + yt @ z
     cap_factors, cap_rcond = kernels.lu_factor_checked(cap)

@@ -5,47 +5,14 @@ from hypothesis import strategies as st
 
 from lrlsq.errors import DimensionMismatch, RankDeficient, SingularCapacitance, SingularMatrix
 from lrlsq.kernels import (
-    lu_solve,
-    mat_mul,
+    invert_upper_triangular,
+    lu_apply,
+    lu_factor_checked,
     numerical_rank,
     pinv_oracle,
     qr_thin,
     solve_upper_triangular,
 )
-
-
-# ---------------------------------------------------------------- mat_mul
-
-def test_mat_mul_identity():
-    b = np.arange(6.0).reshape(3, 2)
-    np.testing.assert_array_equal(mat_mul(np.eye(3), b), b)
-
-
-def test_mat_mul_zero():
-    a = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(mat_mul(a, np.zeros((3, 4))), np.zeros((2, 4)))
-
-
-def test_mat_mul_hand_checked():
-    out = mat_mul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    np.testing.assert_array_equal(out, np.array([[3.0], [7.0]]))
-
-
-def test_mat_mul_transpose_flag():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((4, 3))
-    b = rng.standard_normal((4, 2))
-    np.testing.assert_array_equal(mat_mul(a, b, transpose_a=True), a.T @ b)
-
-
-def test_mat_mul_dimension_mismatch():
-    a = np.zeros((2, 3))
-    with pytest.raises(DimensionMismatch):
-        mat_mul(a, np.zeros((2, 2)))
-    with pytest.raises(DimensionMismatch):
-        mat_mul(a, np.zeros((3, 2)), transpose_a=True)
-    with pytest.raises(DimensionMismatch):
-        mat_mul(np.zeros(3), np.zeros((3, 2)))
 
 
 # ---------------------------------------------------------------- qr_thin
@@ -144,34 +111,78 @@ def test_two_triangular_solves_invert_normal_matrix():
             <= 1e-10 * np.linalg.norm(ata) * np.linalg.norm(z))
 
 
-# ---------------------------------------------------------------- lu_solve
+# ------------------------------------------------- invert_upper_triangular
+
+def test_invert_upper_triangular_2x2_hand_checked():
+    # [[2, 1], [0, 4]]^{-1} = [[1/2, -1/8], [0, 1/4]]
+    inv = invert_upper_triangular(np.array([[2.0, 1.0], [0.0, 4.0]]))
+    np.testing.assert_array_equal(inv, [[0.5, -0.125], [0.0, 0.25]])
+
+
+def test_invert_upper_triangular_3x3_hand_checked():
+    # Unit upper bidiagonal with -1 off the diagonal: the inverse is the
+    # upper triangle of ones.
+    r = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+    np.testing.assert_array_equal(invert_upper_triangular(r), np.triu(np.ones((3, 3))))
+
+
+def test_invert_upper_triangular_reads_upper_triangle_only():
+    r = np.array([[2.0, 1.0], [7.0, 4.0]])  # the 7 is not part of r
+    inv = invert_upper_triangular(r)
+    np.testing.assert_array_equal(inv, [[0.5, -0.125], [0.0, 0.25]])
+    assert inv.flags.c_contiguous
+
+
+def test_invert_upper_triangular_residual_random():
+    rng = np.random.default_rng(7)
+    r = np.triu(rng.standard_normal((8, 8))) + 4.0 * np.eye(8)
+    inv = invert_upper_triangular(r)
+    assert np.linalg.norm(r @ inv - np.eye(8)) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(inv)
+
+
+def test_invert_upper_triangular_zero_diagonal():
+    r = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 5.0]])
+    with pytest.raises(SingularMatrix, match="index 1"):
+        invert_upper_triangular(r)
+
+
+def test_invert_upper_triangular_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        invert_upper_triangular(np.ones((3, 2)))
+    with pytest.raises(DimensionMismatch):
+        invert_upper_triangular(np.ones(3))
+
+
+# ------------------------------------------------------- lu_factor_checked
 
 def test_lu_identity():
     b = np.arange(6.0).reshape(3, 2)
-    x, rcond = lu_solve(np.eye(3), b)
-    np.testing.assert_array_equal(x, b)
+    factors, rcond = lu_factor_checked(np.eye(3))
+    np.testing.assert_array_equal(lu_apply(factors, b), b)
     assert rcond == pytest.approx(1.0)
 
 
 def test_lu_zero_matrix():
     with pytest.raises(SingularCapacitance):
-        lu_solve(np.zeros((2, 2)), np.ones(2))
+        lu_factor_checked(np.zeros((2, 2)))
 
 
 def test_lu_diagonally_dominant_residual():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((4, 4)) + 8.0 * np.eye(4)
     b = rng.standard_normal((4, 2))
-    x, rcond = lu_solve(c, b)
+    factors, rcond = lu_factor_checked(c)
+    x = lu_apply(factors, b)
     assert np.linalg.norm(c @ x - b) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(x)
     assert 0.0 < rcond <= 1.0
 
 
 def test_lu_dimension_checks():
     with pytest.raises(DimensionMismatch):
-        lu_solve(np.zeros((2, 3)), np.ones(2))
+        lu_factor_checked(np.zeros((2, 3)))
+    factors, _ = lu_factor_checked(np.eye(2))
     with pytest.raises(DimensionMismatch):
-        lu_solve(np.eye(2), np.ones(3))
+        lu_apply(factors, np.ones(3))
 
 
 # ------------------------------------------------------------- pinv_oracle

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import draw_family, draw_instance, rank_drop_instance
 from lrlsq.errors import DimensionMismatch, RankDeficient, SingularCapacitance
-from lrlsq.kernels import pinv_oracle
+from lrlsq.kernels import pinv_oracle, qr_thin, solve_upper_triangular
 from lrlsq.woodbury import (
     LowRankUpdate,
     ata_solve,
@@ -149,6 +150,41 @@ def test_workspace_dimension_mismatch():
     base = prepare(np.eye(4))
     with pytest.raises(DimensionMismatch):
         build_workspace(base, LowRankUpdate(np.ones((3, 1)), np.ones((3, 1))))
+
+
+def _update_by_triangular_solves(a, b, u, v):
+    """Reference update path: z from two triangular solves against R.
+
+    Returns (z, x) for the bound right-hand side b.
+    """
+    f = qr_thin(a)
+    atu = a.T @ u
+    x_blk = np.hstack([v, atu])
+    yt = np.vstack([atu.T + (u.T @ u) @ v.T, v.T])
+    z = solve_upper_triangular(f.r, solve_upper_triangular(f.r, x_blk, transpose=True))
+    x0 = solve_upper_triangular(f.r, f.q.T @ b)
+    w = x0 + z[:, : u.shape[1]] @ (u.T @ b)
+    x = w - z @ np.linalg.solve(np.eye(yt.shape[0]) + yt @ z, yt @ w)
+    return z, x
+
+
+def test_update_path_stays_off_scipy_triangular_solves(monkeypatch):
+    # A multi-column scipy triangular solve wakes scipy's own BLAS pool,
+    # which then contends with numpy's over the next pass over a. The
+    # workspace and the solve with the bound b must not call one.
+    rng = np.random.default_rng(17)
+    a, b, u, v, base, _ = draw_instance(rng, 400, 60, 4)
+    z_ref, x_ref = _update_by_triangular_solves(a, b, u, v)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.solve_triangular called")
+
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", forbidden)
+    upd = LowRankUpdate(u, v)
+    ws = build_workspace(base, upd)
+    x = solve_updated(base, upd, ws, b).x
+    assert np.linalg.norm(ws.z - z_ref) <= 1e-13 * np.linalg.norm(z_ref)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
 def test_update_shape_validation():
