@@ -13,7 +13,7 @@ One untimed warm-up runs per configuration before the timed repetitions to
 keep first-touch effects out of rep 0. Per-rep rows are recorded rather
 than pre-averaged; averaging is an analysis step. The loop is strictly
 sequential and spawns no threads; whether the underlying BLAS uses threads
-is an environment matter (pin with OMP_NUM_THREADS=1 for strict
+is an environment matter (pin with OPENBLAS_NUM_THREADS=1 for strict
 single-thread timings).
 
 Every generated matrix comes from its own named PCG64 stream, so runs with
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import LrlsqError
-from .mio import BenchRecord, write_bench_csv
+from .mio import BenchRecord
 from .woodbury import LowRankUpdate, baseline_solve, build_workspace, prepare, solve_updated
 
 # Stream-id roles, packed into the low bits of the id.
@@ -85,7 +84,6 @@ class BenchConfig:
     reps: int
     seed: int
     backend: str = "qr"
-    out_path: Optional[str] = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -101,7 +99,7 @@ class BenchConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.backend not in ("qr", "cg", "iterative"):
+        if self.backend not in ("qr", "cg"):
             raise ValueError(f"backend must be 'qr' or 'cg', got {self.backend!r}")
 
 
@@ -125,7 +123,7 @@ def _timed_pair(a, b, base, u, v):
 
 
 def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
-    """Run the sweep; returns per-rep records (and writes CSV if configured).
+    """Run the sweep; returns per-rep records (``write_bench_csv`` stores them).
 
     Any solver error aborts the run, re-raised as the same type with the
     offending (n, r, rep) attached and the original's attributes (for
@@ -159,6 +157,4 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                 # Keep diagnostics such as ConvergenceFailure.iterations.
                 vars(wrapped).update(vars(err))
                 raise wrapped from err
-    if cfg.out_path is not None:
-        write_bench_csv(cfg.out_path, records)
     return records

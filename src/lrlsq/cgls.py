@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch
-from .woodbury import PreparedBase, _bind_x0, NE_TOL
+from .woodbury import PreparedBase, _base_matrix, _bind_x0
 
 DEFAULT_TOL = 1e-12
 
@@ -131,20 +131,16 @@ def normal_cg_solve(a, c, cfg: IterativeConfig | None = None):
 
 
 def make_iterative_base(a, b=None, cfg: IterativeConfig | None = None,
-                        x0=None, ne_tol: float = NE_TOL) -> PreparedBase:
+                        x0=None) -> PreparedBase:
     """PreparedBase whose solvers run matrix-free CG instead of QR.
 
     The base least squares solution is obtained through the same operator:
-    ``x0 = (a.T a)^{-1} (a.T b)``. Raises ConvergenceFailure as
-    ``normal_cg_solve`` does.
+    ``x0 = (a.T a)^{-1} (a.T b)``. Raises NonFiniteValue when a or b holds
+    NaN or infinity, and ConvergenceFailure as ``normal_cg_solve`` does.
     """
     cfg = cfg if cfg is not None else IterativeConfig()
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"a must be a 2-D matrix, got ndim={a.ndim}")
+    a = _base_matrix(a)
     m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"base requires m >= n, got shape {a.shape}")
 
     def ata_solver(c):
         return normal_cg_solve(a, c, cfg)[0]
@@ -152,9 +148,9 @@ def make_iterative_base(a, b=None, cfg: IterativeConfig | None = None,
     def lstsq_solver(rhs):
         return ata_solver(a.T @ rhs)
 
-    b_bound, x0_bound = _bind_x0(a, b, x0, lstsq_solver, ne_tol)
+    b_bound, x0_bound = _bind_x0(a, b, x0, lstsq_solver)
     return PreparedBase(
         a=a, m=m, n=n, backend="cg",
         ata_solver=ata_solver, lstsq_solver=lstsq_solver,
-        qr=None, b=b_bound, x0=x0_bound,
+        b=b_bound, x0=x0_bound,
     )

@@ -138,13 +138,17 @@ def _run_bench(args) -> int:
     )
     records = run_benchmark(cfg)
     write_bench_csv(args.out, records)
+    print(f"{'n':>6} {'r':>4} {'median speedup':>16} {'mean ms scratch':>16} "
+          f"{'mean ms update':>15} {'max rel err':>12}")
     for n in cfg.n_list:
         for r in cfg.r_list:
             group = [rec for rec in records if rec.n == n and rec.r == r]
             med = statistics.median(rec.speedup for rec in group)
+            scratch_ms = statistics.mean(rec.t_scratch_ns for rec in group) / 1e6
+            update_ms = statistics.mean(rec.t_woodbury_ns for rec in group) / 1e6
             worst = max(rec.rel_forward_error for rec in group)
-            print(f"n={n} r={r}: median speedup {med:.1f}x, "
-                  f"max rel forward error {worst:.2e}")
+            print(f"{n:>6} {r:>4} {med:>15.1f}x {scratch_ms:>16.1f} "
+                  f"{update_ms:>15.2f} {worst:>12.2e}")
     return 0
 
 

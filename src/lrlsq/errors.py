@@ -44,4 +44,8 @@ class MalformedHeader(LrlsqError):
 
 
 class NonFiniteValue(LrlsqError):
-    """Matrix data from external input contains NaN or infinity."""
+    """Matrix data contains NaN or infinity.
+
+    Raised for matrix files, and for the inputs of ``prepare`` and
+    ``LowRankUpdate``, before any of it reaches a solver.
+    """

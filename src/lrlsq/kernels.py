@@ -43,7 +43,7 @@ def _as_2d(a, name: str) -> np.ndarray:
     return a
 
 
-def qr_thin(a, rank_tol: float | None = None) -> QRFactors:
+def qr_thin(a) -> QRFactors:
     """Thin Householder QR of a tall full-column-rank matrix.
 
     Signs are normalized so every diagonal entry of r is nonnegative, which
@@ -52,15 +52,13 @@ def qr_thin(a, rank_tol: float | None = None) -> QRFactors:
     Parameters
     ----------
     a : (m, n) array, m >= n
-    rank_tol : float, optional
-        Relative rank-detection threshold. The factorization is rejected
-        when some ``|r[i, i]| <= rank_tol * max_j |r[j, j]|``. Defaults to
-        ``m * eps``, the usual backward-stable choice.
 
     Raises
     ------
     RankDeficient
-        If a is numerically rank-deficient by the test above.
+        If a is numerically rank-deficient: some
+        ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual
+        backward-stable threshold.
     DimensionMismatch
         If a is not 2-D or has m < n.
     """
@@ -73,9 +71,7 @@ def qr_thin(a, rank_tol: float | None = None) -> QRFactors:
     q = q * sign
     r = r * sign[:, None]
     diag = np.abs(np.diag(r))
-    if rank_tol is None:
-        rank_tol = m * EPS
-    if n > 0 and diag.min() <= rank_tol * diag.max():
+    if n > 0 and diag.min() <= m * EPS * diag.max():
         raise RankDeficient(
             f"matrix of shape {a.shape} is numerically rank-deficient "
             f"(min |R_ii| = {diag.min():.3e}, max = {diag.max():.3e})"
@@ -134,15 +130,15 @@ def invert_upper_triangular(r) -> np.ndarray:
     return np.triu(inv)
 
 
-def lu_factor_checked(c, pivot_tol: float | None = None):
+def lu_factor_checked(c):
     """LU-factor a small square matrix and estimate its conditioning.
 
     Returns ``(factors, rcond)`` where ``factors`` feeds ``lu_apply`` and
     ``rcond`` is a 1-norm reciprocal condition estimate in (0, 1].
 
-    Raises SingularCapacitance when the smallest pivot falls at or below
-    ``pivot_tol * max|c|`` (default ``p * eps``): the system cannot be
-    solved reliably.
+    Raises SingularCapacitance when the smallest pivot of the p x p system
+    falls at or below ``p * eps * max|c|``: the system cannot be solved
+    reliably.
     """
     c = _as_2d(c, "c")
     p = c.shape[0]
@@ -150,8 +146,6 @@ def lu_factor_checked(c, pivot_tol: float | None = None):
         raise DimensionMismatch(f"c must be square, got shape {c.shape}")
     if p == 0:
         raise DimensionMismatch("c must be nonempty")
-    if pivot_tol is None:
-        pivot_tol = p * EPS
     cmax = float(np.abs(c).max())
     anorm = float(np.abs(c).sum(axis=0).max())
     with warnings.catch_warnings():
@@ -159,13 +153,13 @@ def lu_factor_checked(c, pivot_tol: float | None = None):
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(c, check_finite=False)
     pivots = np.abs(np.diag(lu))
-    if pivots.min() <= pivot_tol * cmax:
+    if pivots.min() <= p * EPS * cmax:
         raise SingularCapacitance(
             f"{p} x {p} system is singular or near-singular "
             f"(min pivot {pivots.min():.3e}, max entry {cmax:.3e})"
         )
     rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if info != 0:  # pragma: no cover - dgecon only fails on bad arguments
+    if info != 0:  # pragma: no cover - dgecon fails only on a NaN or infinite c
         raise SingularCapacitance("condition estimation failed")
     return (lu, piv), float(rcond)
 
@@ -182,14 +176,14 @@ def lu_apply(factors, b) -> np.ndarray:
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
 
 
-def pinv_oracle(a, rank_tol: float | None = None) -> np.ndarray:
+def pinv_oracle(a) -> np.ndarray:
     """Explicit pseudoinverse of a tall full-column-rank matrix.
 
     Computed as R^{-1} Q.T from the thin QR factors, which is the unique
     Moore-Penrose pseudoinverse for full column rank. Materializes an n x m
     matrix, so this is a test-scale reference, not a solver building block.
     """
-    f = qr_thin(a, rank_tol)
+    f = qr_thin(a)
     return solve_upper_triangular(f.r, f.q.T)
 
 

@@ -39,12 +39,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, SingularCapacitance
-from .kernels import EPS, QRFactors
+from .errors import DimensionMismatch, NonFiniteValue, SingularCapacitance
+from .kernels import EPS
 
 # Acceptance threshold for normal-equations residuals of supplied base
-# solutions; adequate for instances with condition up to ~1e3. Callers with
-# worse-conditioned data should validate x0 themselves and pass ne_tol.
+# solutions; adequate for instances with condition up to ~1e3. For
+# worse-conditioned data, leave x0 out and let the base solver compute it.
 NE_TOL = 1e-10
 
 # Capacitance rejection guard: fail when rcond < 2r * eps * CAP_GUARD.
@@ -70,7 +70,6 @@ class PreparedBase:
     backend: str
     ata_solver: Callable[[np.ndarray], np.ndarray]
     lstsq_solver: Callable[[np.ndarray], np.ndarray]
-    qr: Optional[QRFactors] = None
     b: Optional[np.ndarray] = None
     x0: Optional[np.ndarray] = None
 
@@ -100,6 +99,8 @@ class LowRankUpdate:
                 f"update requires 1 <= r <= n <= m, got m={u.shape[0]}, "
                 f"n={v.shape[0]}, r={r}"
             )
+        _require_finite(u, "u")
+        _require_finite(v, "v")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -149,13 +150,37 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_finite(x: np.ndarray, name: str) -> None:
+    """Raise NonFiniteValue if x holds NaN or infinity.
+
+    The sum is non-finite whenever an entry is, and unlike ``np.isfinite(x)``
+    it allocates nothing the size of x; only a sum that overflows on finite
+    entries takes the exact test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum()
+    if not np.isfinite(total) and not np.isfinite(x).all():
+        raise NonFiniteValue(f"{name} contains NaN or infinite entries")
+
+
+def _base_matrix(a) -> np.ndarray:
+    """Validate a base matrix for either backend: 2-D, m >= n, finite."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"a must be a 2-D matrix, got ndim={a.ndim}")
+    if a.shape[0] < a.shape[1]:
+        raise DimensionMismatch(f"base requires m >= n, got shape {a.shape}")
+    _require_finite(a, "a")
+    return a
+
+
 def updated_normal_residual(a, u, v, x, b) -> float:
     """``||ahat.T (ahat x - b)||_2`` without forming ``ahat = a + u v.T``."""
     rr = a @ x + u @ (v.T @ x) - b
     return float(np.linalg.norm(a.T @ rr + v @ (u.T @ rr)))
 
 
-def _bind_x0(a, b, x0, lstsq_solver, ne_tol: float):
+def _bind_x0(a, b, x0, lstsq_solver):
     """Normalize and validate the optional (b, x0) pair of a prepared base."""
     if b is None:
         if x0 is not None:
@@ -165,6 +190,7 @@ def _bind_x0(a, b, x0, lstsq_solver, ne_tol: float):
     m, n = a.shape
     if b.ndim != 1 or b.shape[0] != m:
         raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
+    _require_finite(b, "b")
     if x0 is None:
         x0 = lstsq_solver(b)
     else:
@@ -175,8 +201,9 @@ def _bind_x0(a, b, x0, lstsq_solver, ne_tol: float):
             )
         anorm = float(np.linalg.norm(a))
         resid = float(np.linalg.norm(a.T @ (a @ x0 - b)))
-        bound = ne_tol * anorm**2 * (np.linalg.norm(x0) + np.linalg.norm(b) / anorm)
-        if resid > bound:
+        bound = NE_TOL * anorm**2 * (np.linalg.norm(x0) + np.linalg.norm(b) / anorm)
+        # NaN compares False, and an infinite x0 makes the bound infinite.
+        if not (resid <= bound < np.inf):
             raise ValueError(
                 f"supplied x0 does not solve the base least squares problem "
                 f"(normal-equations residual {resid:.3e} > {bound:.3e})"
@@ -184,37 +211,33 @@ def _bind_x0(a, b, x0, lstsq_solver, ne_tol: float):
     return _freeze(b.copy()), _freeze(np.array(x0, dtype=np.float64))
 
 
-def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None,
-            ne_tol: float = NE_TOL) -> PreparedBase:
+def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
     With the default "qr" backend this computes the thin QR of ``a``,
     inverts R once (about n^3 / 3 flops beside the QR's 2 m n^2), and
     installs ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` as two matrix products
     with that inverse. Base least squares solves, such as the one for ``b``,
-    stay a single triangular solve, ``R x = Q.T rhs``. Backend "cg" (alias
-    "iterative") installs the matrix-free conjugate-gradient solver from
-    :mod:`lrlsq.cgls` instead; ``cfg`` is its IterativeConfig.
+    stay a single triangular solve, ``R x = Q.T rhs``. Backend "cg" installs
+    the matrix-free conjugate-gradient solver from :mod:`lrlsq.cgls`
+    instead; ``cfg`` is its IterativeConfig.
 
     If ``b`` is given, the base solution ``x0`` is computed and bound to it
     (or validated against it, if supplied). Solves against a different b
     later simply cost one extra base solve.
 
-    Raises RankDeficient when a lacks full column rank (QR backend).
+    Raises NonFiniteValue when a or b holds NaN or infinity, and
+    RankDeficient when a lacks full column rank (QR backend).
     """
-    if backend in ("cg", "iterative"):
+    if backend == "cg":
         from .cgls import make_iterative_base
 
-        return make_iterative_base(a, b=b, cfg=cfg, x0=x0, ne_tol=ne_tol)
+        return make_iterative_base(a, b=b, cfg=cfg, x0=x0)
     if backend != "qr":
         raise ValueError(f"unknown backend {backend!r}; expected 'qr' or 'cg'")
 
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"a must be a 2-D matrix, got ndim={a.ndim}")
+    a = _base_matrix(a)
     m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"prepare requires m >= n, got shape {a.shape}")
     f = kernels.qr_thin(a)
     rinv = kernels.invert_upper_triangular(f.r)
 
@@ -226,11 +249,11 @@ def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None,
     def lstsq_solver(rhs):
         return kernels.solve_upper_triangular(f.r, f.q.T @ rhs)
 
-    b_bound, x0_bound = _bind_x0(a, b, x0, lstsq_solver, ne_tol)
+    b_bound, x0_bound = _bind_x0(a, b, x0, lstsq_solver)
     return PreparedBase(
         a=a, m=m, n=n, backend="qr",
         ata_solver=ata_solver, lstsq_solver=lstsq_solver,
-        qr=f, b=b_bound, x0=x0_bound,
+        b=b_bound, x0=x0_bound,
     )
 
 
@@ -251,8 +274,7 @@ def ata_solve(base: PreparedBase, c) -> np.ndarray:
     return base.ata_solver(c)
 
 
-def build_workspace(base: PreparedBase, upd: LowRankUpdate,
-                    cap_guard: float = CAP_GUARD) -> UpdateWorkspace:
+def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
     """Assemble the per-update state: blocks, 2r system solves, capacitance.
 
     Costs one r x m by m x n product ``u.T @ a``, which both blocks share,
@@ -260,7 +282,7 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate,
     an O(mn) solve.
 
     Raises SingularCapacitance when ``I + yt @ z`` is singular or its
-    estimated rcond falls below ``2r * eps * cap_guard``, the signature of
+    estimated rcond falls below ``2r * eps * CAP_GUARD``, the signature of
     an update that destroys full column rank.
     """
     u, v, r = upd.u, upd.v, upd.rank
@@ -275,10 +297,10 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate,
     z = ata_solve(base, x_blk)
     cap = np.eye(2 * r) + yt @ z
     cap_factors, cap_rcond = kernels.lu_factor_checked(cap)
-    if cap_rcond < 2 * r * EPS * cap_guard:
+    if cap_rcond < 2 * r * EPS * CAP_GUARD:
         raise SingularCapacitance(
             f"capacitance rcond {cap_rcond:.3e} below threshold "
-            f"{2 * r * EPS * cap_guard:.3e}: updated matrix appears rank-deficient"
+            f"{2 * r * EPS * CAP_GUARD:.3e}: updated matrix appears rank-deficient"
         )
     return UpdateWorkspace(
         x_blk=_freeze(x_blk), yt=_freeze(yt), z=_freeze(z),
@@ -340,17 +362,13 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
 
 
 def pinv_update_explicit(a, u, v) -> np.ndarray:
-    """Explicit n x m pseudoinverse of ``a + u @ v.T`` via the update identity.
+    """Explicit n x m pseudoinverse of ``a + u @ v.T`` via the update path.
 
-    Assembles
-
-        pinv(a + u v.T) = (I - M) (pinv(a) + (a.T a)^{-1} v u.T),
-        M = z @ inv(I + yt z) @ yt,
-
-    from the same workspace quantities the solver uses, with
-    ``(a.T a)^{-1} v`` read off the first r columns of z. Materializes
-    dense n x m matrices, so it is meant for validation at modest sizes
-    (roughly m <= 500), not for solving.
+    Column j of the pseudoinverse is the updated least squares solution for
+    the unit vector ``e_j``, so this is ``solve_many`` on the m x m identity.
+    It costs m base solves and materializes dense m x m and n x m matrices,
+    so it is meant for validation at modest sizes (roughly m <= 500), not
+    for solving.
 
     Raises RankDeficient (base rank-deficient) or SingularCapacitance
     (update kills full rank).
@@ -358,8 +376,7 @@ def pinv_update_explicit(a, u, v) -> np.ndarray:
     upd = LowRankUpdate(u, v)
     base = prepare(a)
     ws = build_workspace(base, upd)
-    g = kernels.pinv_oracle(base.a) + ws.z[:, : upd.rank] @ upd.u.T
-    return g - ws.z @ kernels.lu_apply(ws.cap_factors, ws.yt @ g)
+    return solve_many(base, upd, ws, np.eye(base.m))
 
 
 def baseline_solve(a, u, v, b) -> np.ndarray:

@@ -17,7 +17,7 @@ from lrlsq.bench import (
 )
 from lrlsq.cgls import IterativeConfig
 from lrlsq.errors import ConvergenceFailure, RankDeficient
-from lrlsq.mio import read_bench_csv
+from lrlsq.mio import read_bench_csv, write_bench_csv
 from lrlsq.woodbury import prepare
 
 
@@ -91,9 +91,9 @@ def test_config_validation():
 
 def test_tiny_benchmark_records(tmp_path):
     out = tmp_path / "bench.csv"
-    cfg = BenchConfig(m=60, n_list=[8, 12], r_list=[2], reps=2, seed=99,
-                      out_path=str(out))
+    cfg = BenchConfig(m=60, n_list=[8, 12], r_list=[2], reps=2, seed=99)
     records = run_benchmark(cfg)
+    write_bench_csv(out, records)
     assert len(records) == 4
     assert [(rec.n, rec.rep) for rec in records] == [(8, 0), (8, 1), (12, 0), (12, 1)]
     for rec in records:

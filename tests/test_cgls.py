@@ -151,5 +151,6 @@ def test_prepare_backend_aliases():
     rng = np.random.default_rng(37)
     a = rng.standard_normal((20, 4))
     b = rng.standard_normal(20)
-    assert prepare(a, b, backend="iterative").backend == "cg"
     assert prepare(a, b, backend="cg").backend == "cg"
+    with pytest.raises(ValueError, match="unknown backend"):
+        prepare(a, b, backend="iterative")

@@ -86,6 +86,15 @@ def test_malformed_file_maps_to_exit_3(worked_instance, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_file_maps_to_exit_3(worked_instance, tmp_path, capsys, value):
+    bad = tmp_path / "non_finite_u.mtx"
+    bad.write_text(f"%%MatrixMarket matrix array real general\n3 1\n0\n{value}\n1\n")
+    worked_instance["u"] = str(bad)
+    assert cli_main(_solve_args(worked_instance)) == 3
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 def test_wrong_shape_b_maps_to_exit_3(worked_instance, tmp_path):
     wide = str(tmp_path / "wide_b.mtx")
     write_matrix(wide, np.zeros((2, 2)))
@@ -106,7 +115,18 @@ def test_bench_subcommand_round_trip(tmp_path, capsys):
     records = read_bench_csv(out)
     assert len(records) == 4
     stdout = capsys.readouterr().out
-    assert "median speedup" in stdout
+    header, *rows = stdout.splitlines()
+    assert header.split()[2:] == ["median", "speedup", "mean", "ms", "scratch",
+                                  "mean", "ms", "update", "max", "rel", "err"]
+    assert [row.split()[:2] for row in rows] == [["8", "2"], ["12", "2"]]
+    for row, n in zip(rows, (8, 12)):
+        group = [rec for rec in records if rec.n == n]
+        scratch_ms = float(row.split()[3])
+        update_ms = float(row.split()[4])
+        assert scratch_ms == pytest.approx(
+            sum(rec.t_scratch_ns for rec in group) / len(group) / 1e6, abs=0.05)
+        assert update_ms == pytest.approx(
+            sum(rec.t_woodbury_ns for rec in group) / len(group) / 1e6, abs=0.005)
 
 
 def test_bench_rejects_inconsistent_grid(capsys):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from conftest import draw_family, draw_instance, rank_drop_instance
-from lrlsq.errors import DimensionMismatch, RankDeficient, SingularCapacitance
+from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
 from lrlsq.kernels import pinv_oracle, qr_thin, solve_upper_triangular
 from lrlsq.woodbury import (
     LowRankUpdate,
@@ -79,6 +79,38 @@ def test_prepare_rejects_bogus_x0():
         prepare(a, b, x0=np.ones(5) * 100.0)
     with pytest.raises(ValueError):
         prepare(a, x0=np.ones(5))  # x0 without b
+
+
+@pytest.mark.parametrize("backend", ["qr", "cg"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prepare_rejects_non_finite_x0(backend, bad):
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((20, 5))
+    b = rng.standard_normal(20)
+    x0 = prepare(a, b).x0.copy()
+    x0[2] = bad
+    with pytest.raises(ValueError, match="does not solve"):
+        prepare(a, b, backend=backend, x0=x0)
+    with pytest.raises(ValueError, match="does not solve"):
+        prepare(a, b, backend=backend, x0=np.full(5, bad))
+
+
+@pytest.mark.parametrize("backend", ["qr", "cg"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prepare_rejects_non_finite_input(backend, bad):
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((20, 5))
+    b = rng.standard_normal(20)
+    a_bad = a.copy()
+    a_bad[3, 1] = bad
+    with pytest.raises(NonFiniteValue, match="a contains"):
+        prepare(a_bad, b, backend=backend)
+    with pytest.raises(NonFiniteValue, match="a contains"):
+        prepare(np.asfortranarray(a_bad), backend=backend)
+    b_bad = b.copy()
+    b_bad[7] = bad
+    with pytest.raises(NonFiniteValue, match="b contains"):
+        prepare(a, b_bad, backend=backend)
 
 
 def test_prepare_rejects_unknown_backend():
@@ -196,6 +228,21 @@ def test_update_shape_validation():
         LowRankUpdate(np.ones((4, 0)), np.ones((3, 0)))  # empty update
     with pytest.raises(DimensionMismatch):
         LowRankUpdate(np.ones((4, 3)), np.ones((2, 3)))  # r > n
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_update_rejects_non_finite_factors(bad):
+    u = np.ones((4, 2))
+    u[1, 0] = bad
+    with pytest.raises(NonFiniteValue, match="u contains"):
+        LowRankUpdate(u, np.ones((3, 2)))
+    with pytest.raises(NonFiniteValue, match="v contains"):
+        LowRankUpdate(np.ones((4, 2)), u[:3])
+
+
+def test_update_accepts_finite_factors_whose_sum_overflows():
+    upd = LowRankUpdate(np.full((4, 2), 1e308), np.ones((3, 2)))
+    assert upd.rank == 2
 
 
 # ------------------------------------------------------------ solve_updated
