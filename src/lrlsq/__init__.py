@@ -21,8 +21,6 @@ from .errors import (
 )
 from .kernels import (
     QRFactors,
-    numerical_rank,
-    pinv_oracle,
     qr_thin,
     solve_upper_triangular,
 )
@@ -68,8 +66,6 @@ __all__ = [
     "gen_gaussian",
     "make_iterative_base",
     "normal_cg_solve",
-    "numerical_rank",
-    "pinv_oracle",
     "pinv_update_explicit",
     "prepare",
     "qr_thin",

@@ -2,9 +2,9 @@
 
 Matrices are 2-D float64 numpy arrays throughout; vectors are 1-D. The
 functions here are thin, contract-checked fronts over LAPACK/BLAS (via numpy
-and scipy) plus two test-scale reference routines, ``pinv_oracle`` and
-``numerical_rank``. On-disk exchange is column-major (see ``lrlsq.mio``);
-in-memory stride order is whatever numpy produces.
+and scipy). On-disk exchange is column-major (see ``lrlsq.mio``); in-memory
+stride order is whatever the underlying routine produces (``qr_thin``'s q
+is Fortran-ordered).
 
 All operations are pure: inputs are never modified, results are fresh
 arrays. They are therefore safe to call concurrently on shared read-only
@@ -18,8 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import lapack_lite
 
-from .errors import DimensionMismatch, RankDeficient, SingularCapacitance, SingularMatrix
+from .errors import (
+    DimensionMismatch,
+    NonFiniteValue,
+    RankDeficient,
+    SingularCapacitance,
+    SingularMatrix,
+)
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -43,11 +50,29 @@ def _as_2d(a, name: str) -> np.ndarray:
     return a
 
 
+def _lapack_lite(routine, *args) -> None:
+    """Run a ``numpy.linalg.lapack_lite`` routine with its optimal workspace.
+
+    An illegal argument raises ValueError (numpy's xerbla); geqrf and orgqr
+    report nothing else.
+    """
+    work = np.empty(1)
+    routine(*args, work, -1, 0)
+    work = np.empty(max(1, int(work[0])))
+    routine(*args, work, work.size, 0)
+
+
 def qr_thin(a) -> QRFactors:
     """Thin Householder QR of a tall full-column-rank matrix.
 
-    Signs are normalized so every diagonal entry of r is nonnegative, which
-    makes factors reproducible across LAPACK builds.
+    Runs LAPACK ``geqrf`` and then ``orgqr`` in place on one
+    Fortran-ordered copy of a, so q comes back Fortran-ordered; a itself is
+    not modified. Both run through ``numpy.linalg.lapack_lite``, in numpy's
+    BLAS pool: scipy's pool, once woken by a multi-threaded factorization,
+    keeps spinning and slows numpy's next product over a matrix (see the
+    README's performance note). Signs are then normalized in place so every
+    diagonal entry of r is nonnegative, which makes factors reproducible
+    across LAPACK builds.
 
     Parameters
     ----------
@@ -55,6 +80,10 @@ def qr_thin(a) -> QRFactors:
 
     Raises
     ------
+    NonFiniteValue
+        If a holds NaN or infinity. Householder QR carries any such entry
+        into r, so this tests the n x n factor instead of making a pass
+        over a.
     RankDeficient
         If a is numerically rank-deficient: some
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual
@@ -66,10 +95,20 @@ def qr_thin(a) -> QRFactors:
     m, n = a.shape
     if m < n:
         raise DimensionMismatch(f"qr_thin requires m >= n, got shape {a.shape}")
-    q, r = np.linalg.qr(a, mode="reduced")
+    # The C-ordered copy of a.T is a in Fortran order.
+    qt = np.array(a.T, order="C")
+    tau = np.empty(n)
+    _lapack_lite(lapack_lite.dgeqrf, m, n, qt, max(1, m), tau)
+    r = np.triu(qt[:, :n].T)
+    # All of r, not just its diagonal: an entry above the diagonal stays
+    # there when the columns to its left need no reflection.
+    if not np.isfinite(r).all():
+        raise NonFiniteValue(f"matrix of shape {a.shape} contains NaN or infinite entries")
+    _lapack_lite(lapack_lite.dorgqr, m, n, n, qt, max(1, m), tau)
+    q = qt.T
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q = q * sign
-    r = r * sign[:, None]
+    q *= sign
+    r *= sign[:, None]
     diag = np.abs(np.diag(r))
     if n > 0 and diag.min() <= m * EPS * diag.max():
         raise RankDeficient(
@@ -174,27 +213,3 @@ def lu_apply(factors, b) -> np.ndarray:
             f"factored system of order {lu.shape[0]}"
         )
     return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def pinv_oracle(a) -> np.ndarray:
-    """Explicit pseudoinverse of a tall full-column-rank matrix.
-
-    Computed as R^{-1} Q.T from the thin QR factors, which is the unique
-    Moore-Penrose pseudoinverse for full column rank. Materializes an n x m
-    matrix, so this is a test-scale reference, not a solver building block.
-    """
-    f = qr_thin(a)
-    return solve_upper_triangular(f.r, f.q.T)
-
-
-def numerical_rank(a, tol: float) -> int:
-    """Number of singular values exceeding ``tol`` times the largest one."""
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
-    a = _as_2d(a, "a")
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * s[0]))

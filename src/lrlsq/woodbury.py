@@ -324,6 +324,9 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
 
     With ``check_residual`` the outcome carries the normal-equations
     residual of x as a certificate (costs two extra passes over a).
+
+    Raises NonFiniteValue when b is not the bound right-hand side and holds
+    NaN or infinity.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or b.shape[0] != base.m:
@@ -333,6 +336,9 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     if base.x0 is not None and base.b is not None and np.array_equal(b, base.b):
         x0 = base.x0
     else:
+        # The bound b was screened by prepare; any other b is screened here,
+        # beside the pass over the base that its solve costs anyway.
+        _require_finite(b, "b")
         x0 = base.lstsq_solver(b)
     w = x0 + ws.z[:, : ws.rank] @ (upd.u.T @ b)
     x = w - ws.z @ kernels.lu_apply(ws.cap_factors, ws.yt @ w)
@@ -385,10 +391,16 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     Assembles the updated matrix, factors it, and back-substitutes. This is
     the correctness oracle and the timing baseline the update path is
     measured against.
+
+    Raises NonFiniteValue when a, u, v or b holds NaN or infinity (for a,
+    u and v through ``qr_thin``'s test of the factor), and RankDeficient
+    when ``a + u v.T`` lacks full column rank.
     """
     a = np.asarray(a, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    _require_finite(b, "b")
     ahat = a + u @ v.T
     f = kernels.qr_thin(ahat)
-    return kernels.solve_upper_triangular(f.r, f.q.T @ np.asarray(b, dtype=np.float64))
+    return kernels.solve_upper_triangular(f.r, f.q.T @ b)

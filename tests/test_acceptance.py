@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from conftest import draw_family, draw_instance, rank_drop_instance
+from oracles import numerical_rank, pinv_oracle
 from lrlsq.bench import ROLE_A, ROLE_B, ROLE_U, ROLE_V, BenchConfig, gen_gaussian, run_benchmark, stream_id
 from lrlsq.errors import SingularCapacitance
-from lrlsq.kernels import numerical_rank, pinv_oracle
 from lrlsq.mio import (
     CSV_HEADER,
     BenchRecord,

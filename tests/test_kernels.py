@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlsq.errors import DimensionMismatch, RankDeficient, SingularCapacitance, SingularMatrix
+from lrlsq.errors import (
+    DimensionMismatch,
+    NonFiniteValue,
+    RankDeficient,
+    SingularCapacitance,
+    SingularMatrix,
+)
 from lrlsq.kernels import (
     invert_upper_triangular,
     lu_apply,
     lu_factor_checked,
-    numerical_rank,
-    pinv_oracle,
     qr_thin,
     solve_upper_triangular,
 )
+from oracles import numerical_rank, pinv_oracle
 
 
 # ---------------------------------------------------------------- qr_thin
@@ -56,6 +61,37 @@ def test_qr_factor_quality(m, n):
     assert np.all(np.diag(f.r) >= 0.0)
     assert np.linalg.norm(f.q.T @ f.q - np.eye(n)) <= 1e-12 * n
     assert np.linalg.norm(f.q @ f.r - a) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_qr_thin_leaves_input_untouched(order):
+    # The signs are flipped in place, on the factors, never on a.
+    rng = np.random.default_rng(7)
+    a = np.array(rng.standard_normal((40, 9)), order=order)
+    a[:, 0] *= -1.0  # at least one diagonal entry of R changes sign
+    keep = a.copy(order="K")
+    f = qr_thin(a)
+    np.testing.assert_array_equal(a, keep)
+    assert not np.shares_memory(f.q, a) and not np.shares_memory(f.r, a)
+    assert f.q.flags.f_contiguous
+    assert np.linalg.norm(f.q @ f.r - a) <= 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [(0, 0), (19, 4), (7, 2), (0, 4), (19, 0)])
+def test_qr_non_finite_input(bad, pos):
+    a = np.random.default_rng(8).standard_normal((20, 5))
+    a[pos] = bad
+    with pytest.raises(NonFiniteValue):
+        qr_thin(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_qr_non_finite_entry_off_the_diagonal_of_r(bad):
+    # Column 0 needs no reflection, so the bad entry lands in r[0, 1] only
+    # and every diagonal entry of r stays finite.
+    with pytest.raises(NonFiniteValue):
+        qr_thin(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
 
 
 # --------------------------------------------------- solve_upper_triangular

@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 
 from conftest import draw_family, draw_instance, rank_drop_instance
+from oracles import numerical_rank, pinv_oracle
 from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
-from lrlsq.kernels import pinv_oracle, qr_thin, solve_upper_triangular
+from lrlsq.kernels import qr_thin, solve_upper_triangular
 from lrlsq.woodbury import (
     LowRankUpdate,
     ata_solve,
@@ -219,6 +220,24 @@ def test_update_path_stays_off_scipy_triangular_solves(monkeypatch):
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
 
 
+def test_qr_thin_stays_off_numpy_qr(monkeypatch):
+    # The base QR runs LAPACK geqrf + orgqr in place on one Fortran-ordered
+    # copy; numpy's qr would add two m x n transposes, and scipy's would
+    # wake scipy's BLAS pool just before the update path's numpy products.
+    rng = np.random.default_rng(18)
+    a, b, u, v, base_ref, _ = draw_instance(rng, 300, 40, 3)
+    x_ref = baseline_solve(a, u, v, b)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a library QR front end called")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    monkeypatch.setattr(scipy.linalg, "qr", forbidden)
+    base = prepare(a, b)
+    np.testing.assert_array_equal(base.x0, base_ref.x0)
+    np.testing.assert_array_equal(baseline_solve(a, u, v, b), x_ref)
+
+
 def test_update_shape_validation():
     with pytest.raises(DimensionMismatch):
         LowRankUpdate(np.ones((4, 2)), np.ones((4, 3)))  # r mismatch
@@ -307,6 +326,23 @@ def test_solve_rejects_bad_rhs_shape():
         solve_updated(base, upd, ws, np.ones(4))
 
 
+@pytest.mark.parametrize("backend", ["qr", "cg"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_rejects_non_finite_fresh_rhs(backend, bad):
+    rng = np.random.default_rng(21)
+    a, b, u, v, _, _ = draw_instance(rng, 20, 5, 2)
+    base = prepare(a, b, backend=backend)
+    upd = LowRankUpdate(u, v)
+    ws = build_workspace(base, upd)
+    b2 = rng.standard_normal(20)
+    b2[4] = bad
+    with pytest.raises(NonFiniteValue, match="b contains"):
+        solve_updated(base, upd, ws, b2)
+    with pytest.raises(NonFiniteValue, match="b contains"):
+        solve_many(base, upd, ws, np.column_stack([b, b2]))
+    assert np.all(np.isfinite(solve_updated(base, upd, ws, b).x))
+
+
 def test_workspace_arrays_frozen():
     _, base, upd, ws = _solve(A32, B32, U32, V32)
     with pytest.raises(ValueError):
@@ -380,8 +416,6 @@ def test_pinv_update_matches_direct_pseudoinverse():
 
 
 def test_pinv_update_difference_has_rank_at_most_2r():
-    from lrlsq.kernels import numerical_rank
-
     rng = np.random.default_rng(25)
     for a, b, u, v, base, ws in draw_family(rng, 10, m_range=(8, 30), r_cap=3):
         r = u.shape[1]
@@ -417,6 +451,17 @@ def test_baseline_detects_rank_drop():
     a, u, v = rank_drop_instance(rng, 14, 6, r=2)
     with pytest.raises(RankDeficient):
         baseline_solve(a, u, v, np.ones(14))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["a", "u", "v", "b"])
+def test_baseline_rejects_non_finite_input(name, bad):
+    rng = np.random.default_rng(30)
+    args = {"a": rng.standard_normal((20, 5)), "u": rng.standard_normal((20, 2)),
+            "v": rng.standard_normal((5, 2)), "b": rng.standard_normal(20)}
+    args[name].flat[3] = bad
+    with pytest.raises(NonFiniteValue):
+        baseline_solve(**args)
 
 
 def test_rank_drop_instances_raise_singular_capacitance():
