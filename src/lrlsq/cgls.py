@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch
-from .woodbury import PreparedBase, _base_matrix, _bind_x0
+from .woodbury import PreparedBase, _base_matrix, _bind_x0, _bound_rhs
 
 DEFAULT_TOL = 1e-12
 
@@ -141,6 +141,7 @@ def make_iterative_base(a, b=None, cfg: IterativeConfig | None = None,
     cfg = cfg if cfg is not None else IterativeConfig()
     a = _base_matrix(a)
     m, n = a.shape
+    b = _bound_rhs(b, x0, m)
 
     def ata_solver(c):
         return normal_cg_solve(a, c, cfg)[0]
@@ -148,7 +149,7 @@ def make_iterative_base(a, b=None, cfg: IterativeConfig | None = None,
     def lstsq_solver(rhs):
         return ata_solver(a.T @ rhs)
 
-    b_bound, x0_bound = _bind_x0(a, b, x0, lstsq_solver)
+    b_bound, x0_bound = _bind_x0(a, b, x0, lambda: lstsq_solver(b))
     return PreparedBase(
         a=a, m=m, n=n, backend="cg",
         ata_solver=ata_solver, lstsq_solver=lstsq_solver,

@@ -6,15 +6,22 @@ and scipy). On-disk exchange is column-major (see ``lrlsq.mio``); in-memory
 stride order is whatever the underlying routine produces (``qr_thin``'s q
 is Fortran-ordered).
 
-All operations are pure: inputs are never modified, results are fresh
-arrays. They are therefore safe to call concurrently on shared read-only
-data. Results are deterministic for a fixed BLAS build and thread count.
+The base QR comes in two steps. ``householder_qr`` factors a, or
+``[a | b]``, and returns r, ``q.T @ b`` and the Householder reflectors,
+which is all a least squares solve for that one b needs. ``form_q`` turns
+the reflectors into q, in place, for the callers that need q itself;
+``qr_thin`` is the two in sequence.
+
+Every function but ``form_q`` is pure: inputs are never modified, results
+are fresh arrays, so they are safe to call concurrently on shared read-only
+data. ``form_q`` consumes the reflectors it is given. Results are
+deterministic for a fixed BLAS build and thread count.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -31,6 +38,11 @@ from .errors import (
 EPS = float(np.finfo(np.float64).eps)
 
 
+# Rows of a per block of the transposed copy in ``householder_qr``; a
+# 256 x n block of a and its n x 256 image stay in the caches together.
+COPY_BLOCK = 256
+
+
 class QRFactors(NamedTuple):
     """Thin QR factorization a = q @ r.
 
@@ -41,6 +53,23 @@ class QRFactors(NamedTuple):
 
     q: np.ndarray
     r: np.ndarray
+
+
+class Householder(NamedTuple):
+    """Householder QR of a, or of ``[a | b]``, with q not yet formed.
+
+    r is the n x n factor of a, upper triangular with a nonnegative
+    diagonal, as in QRFactors. qtb is ``q.T @ b`` for the q that
+    ``form_q`` builds (None without b). reflectors is LAPACK geqrf's output
+    in Fortran order, held as its C-ordered transpose: row j is column j of
+    the factored matrix, with the Householder vectors below the diagonal.
+    tau holds their scalar factors.
+    """
+
+    r: np.ndarray
+    qtb: Optional[np.ndarray]
+    reflectors: np.ndarray
+    tau: np.ndarray
 
 
 def _as_2d(a, name: str) -> np.ndarray:
@@ -62,60 +91,111 @@ def _lapack_lite(routine, *args) -> None:
     routine(*args, work, work.size, 0)
 
 
-def qr_thin(a) -> QRFactors:
-    """Thin Householder QR of a tall full-column-rank matrix.
+def householder_qr(a, b=None) -> Householder:
+    """Factor a tall full-column-rank a, or ``[a | b]``, without forming q.
 
-    Runs LAPACK ``geqrf`` and then ``orgqr`` in place on one
-    Fortran-ordered copy of a, so q comes back Fortran-ordered; a itself is
-    not modified. Both run through ``numpy.linalg.lapack_lite``, in numpy's
-    BLAS pool: scipy's pool, once woken by a multi-threaded factorization,
-    keeps spinning and slows numpy's next product over a matrix (see the
-    README's performance note). Signs are then normalized in place so every
-    diagonal entry of r is nonnegative, which makes factors reproducible
-    across LAPACK builds.
+    Copies a (and b) once into Fortran order, block by block, and runs
+    LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``, in
+    numpy's BLAS pool: scipy's pool, once woken by a multi-threaded
+    factorization, keeps spinning and slows numpy's next product over a
+    matrix (see the README's performance note). Neither a nor b is
+    modified. Signs are then normalized so every diagonal entry of r is
+    nonnegative, which makes factors reproducible across LAPACK builds.
+
+    With b, this is Golub's Householder least squares method: the
+    reflectors that triangularize a also carry b, so the top n entries of
+    the last column are ``q.T @ b``, and ``r x = qtb`` solves
+    ``min ||a x - b||`` with no q at all. ``form_q`` builds q from the
+    result when it is needed.
 
     Parameters
     ----------
     a : (m, n) array, m >= n
+    b : (m,) array, optional. A NaN or infinity in b shows in qtb only
+        where a reflector carries it there, so a caller that cannot rule
+        them out screens b itself.
 
     Raises
     ------
     NonFiniteValue
-        If a holds NaN or infinity. Householder QR carries any such entry
-        into r, so this tests the n x n factor instead of making a pass
-        over a.
+        If r or qtb is not finite. Householder QR carries any NaN or
+        infinity of a into r, so this tests the n x n factor instead of
+        making a pass over a.
     RankDeficient
         If a is numerically rank-deficient: some
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual
         backward-stable threshold.
     DimensionMismatch
-        If a is not 2-D or has m < n.
+        If a is not 2-D or has m < n, or b is not a length-m vector.
     """
     a = _as_2d(a, "a")
     m, n = a.shape
     if m < n:
-        raise DimensionMismatch(f"qr_thin requires m >= n, got shape {a.shape}")
-    # The C-ordered copy of a.T is a in Fortran order.
-    qt = np.array(a.T, order="C")
-    tau = np.empty(n)
-    _lapack_lite(lapack_lite.dgeqrf, m, n, qt, max(1, m), tau)
-    r = np.triu(qt[:, :n].T)
+        raise DimensionMismatch(f"QR requires m >= n, got shape {a.shape}")
+    cols = n
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (m,):
+            raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
+        cols = n + 1
+    # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
+    qt = np.empty((cols, m))
+    for i in range(0, m, COPY_BLOCK):
+        qt[:n, i:i + COPY_BLOCK] = a[i:i + COPY_BLOCK].T
+    if b is not None:
+        qt[n] = b
+    tau = np.empty(min(m, cols))
+    _lapack_lite(lapack_lite.dgeqrf, m, cols, qt, max(1, m), tau)
+    r = np.triu(qt[:n, :n].T)
+    qtb = None if b is None else qt[n, :n].copy()
     # All of r, not just its diagonal: an entry above the diagonal stays
     # there when the columns to its left need no reflection.
-    if not np.isfinite(r).all():
-        raise NonFiniteValue(f"matrix of shape {a.shape} contains NaN or infinite entries")
-    _lapack_lite(lapack_lite.dorgqr, m, n, n, qt, max(1, m), tau)
-    q = qt.T
+    if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
+        what = "matrix" if b is None else "[a | b]"
+        raise NonFiniteValue(f"{what} of shape ({m}, {cols}) contains NaN or infinite entries")
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    q *= sign
     r *= sign[:, None]
-    diag = np.abs(np.diag(r))
+    if qtb is not None:
+        qtb *= sign
+    diag = np.diag(r)
     if n > 0 and diag.min() <= m * EPS * diag.max():
         raise RankDeficient(
             f"matrix of shape {a.shape} is numerically rank-deficient "
             f"(min |R_ii| = {diag.min():.3e}, max = {diag.max():.3e})"
         )
-    return QRFactors(q=q, r=r)
+    return Householder(r=r, qtb=qtb, reflectors=qt, tau=tau)
+
+
+def form_q(h: Householder) -> np.ndarray:
+    """The m x n q of a ``householder_qr`` result, Fortran-ordered.
+
+    Runs LAPACK ``orgqr`` in place on ``h.reflectors``, so q shares their
+    memory and h cannot give a second q: call this once per factorization.
+    Columns then take the signs that made r's diagonal nonnegative, so
+    ``q @ h.r`` reproduces a and ``q.T @ b`` equals ``h.qtb``.
+    """
+    qt, tau = h.reflectors, h.tau
+    n = h.r.shape[0]
+    m = qt.shape[1]
+    # The diagonal of the unnormalized r, before orgqr overwrites it.
+    sign = np.where(np.diagonal(qt[:n, :n]) < 0.0, -1.0, 1.0)
+    _lapack_lite(lapack_lite.dorgqr, m, n, n, qt, max(1, m), tau)
+    q = qt[:n].T
+    q *= sign
+    return q
+
+
+def qr_thin(a) -> QRFactors:
+    """Thin Householder QR of a tall full-column-rank matrix.
+
+    ``householder_qr`` and then ``form_q``: one Fortran-ordered copy of a,
+    LAPACK ``geqrf`` and ``orgqr`` in place on it, so q comes back
+    Fortran-ordered; a itself is not modified. Raises as
+    ``householder_qr`` does: NonFiniteValue, RankDeficient or
+    DimensionMismatch.
+    """
+    h = householder_qr(a)
+    return QRFactors(q=form_q(h), r=h.r)
 
 
 def solve_upper_triangular(r, b, transpose: bool = False) -> np.ndarray:
@@ -126,7 +206,7 @@ def solve_upper_triangular(r, b, transpose: bool = False) -> np.ndarray:
     right-hand-side columns; the result has the same ndim.
 
     Raises SingularMatrix if r has a zero diagonal entry. Near-zero
-    diagonals are the caller's concern (``qr_thin`` screens for them).
+    diagonals are the caller's concern (``householder_qr`` screens for them).
     """
     r = _as_2d(r, "r")
     n = r.shape[0]

@@ -26,13 +26,19 @@ triangular solve, keeps spinning and slows numpy's next product over
 with the skinny operand on the left, ``u.T @ a`` rather than
 ``a.T @ u``, which is the faster layout for C-ordered ``a``.
 
-Everything here is immutable after construction and pure in the solve
-path: one PreparedBase may serve many workspaces, and one workspace many
-right-hand sides, concurrently.
+With the QR backend, ``prepare`` factors ``[a | b]`` and never forms Q:
+the bound b needs only ``Q.T b``, which the factorization carries. Q is
+built once, under a lock, the first time a base least squares solve gets
+a right-hand side other than the bound b.
+
+Everything here is immutable after construction, apart from that lazily
+built Q, and pure in the solve path: one PreparedBase may serve many
+workspaces, and one workspace many right-hand sides, concurrently.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -61,7 +67,9 @@ class PreparedBase:
     base least squares problems, and optionally the base solution ``x0``
     bound to one right-hand side ``b``. Built by :func:`prepare` (direct QR
     backend) or :func:`lrlsq.cgls.make_iterative_base` (matrix-free CG
-    backend). Immutable; share freely across updates and threads.
+    backend). The fields never change. The QR backend's ``lstsq_solver``
+    forms Q on its first call, under a lock, so the base is still safe to
+    share across updates and threads.
     """
 
     a: np.ndarray
@@ -180,29 +188,50 @@ def updated_normal_residual(a, u, v, x, b) -> float:
     return float(np.linalg.norm(a.T @ rr + v @ (u.T @ rr)))
 
 
-def _bind_x0(a, b, x0, lstsq_solver):
-    """Normalize and validate the optional (b, x0) pair of a prepared base."""
+def _bound_rhs(b, x0, m: int) -> Optional[np.ndarray]:
+    """Validate the optional right-hand side b of a prepared base.
+
+    Returns b as a float64 vector, or None; x0 makes sense only with b.
+    """
     if b is None:
         if x0 is not None:
             raise ValueError("x0 supplied without the b it solves for")
-        return None, None
+        return None
     b = np.asarray(b, dtype=np.float64)
-    m, n = a.shape
     if b.ndim != 1 or b.shape[0] != m:
         raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
     _require_finite(b, "b")
+    return b
+
+
+def _bind_x0(a, b, x0, solve_b):
+    """Freeze the (b, x0) pair of a prepared base; b comes from _bound_rhs.
+
+    A supplied x0 is validated against the normal equations; otherwise
+    ``solve_b()`` computes it.
+    """
+    if b is None:
+        return None, None
     if x0 is None:
-        x0 = lstsq_solver(b)
+        x0 = solve_b()
     else:
+        n = a.shape[1]
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.ndim != 1 or x0.shape[0] != n:
             raise DimensionMismatch(
                 f"x0 must be a length-{n} vector, got shape {x0.shape}"
             )
+        # Screened before any product with it, which NaN or inf would turn
+        # into a RuntimeWarning ahead of this error.
+        if not np.isfinite(x0).all():
+            raise ValueError(
+                "supplied x0 does not solve the base least squares problem "
+                "(it holds NaN or infinite entries)"
+            )
         anorm = float(np.linalg.norm(a))
         resid = float(np.linalg.norm(a.T @ (a @ x0 - b)))
         bound = NE_TOL * anorm**2 * (np.linalg.norm(x0) + np.linalg.norm(b) / anorm)
-        # NaN compares False, and an infinite x0 makes the bound infinite.
+        # NaN compares False, and an overflow makes the bound infinite.
         if not (resid <= bound < np.inf):
             raise ValueError(
                 f"supplied x0 does not solve the base least squares problem "
@@ -214,17 +243,20 @@ def _bind_x0(a, b, x0, lstsq_solver):
 def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
-    With the default "qr" backend this computes the thin QR of ``a``,
-    inverts R once (about n^3 / 3 flops beside the QR's 2 m n^2), and
-    installs ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` as two matrix products
-    with that inverse. Base least squares solves, such as the one for ``b``,
-    stay a single triangular solve, ``R x = Q.T rhs``. Backend "cg" installs
-    the matrix-free conjugate-gradient solver from :mod:`lrlsq.cgls`
-    instead; ``cfg`` is its IterativeConfig.
+    With the default "qr" backend this factors ``[a | b]`` (``a`` alone
+    without b) by Householder QR without forming Q, inverts R once (about
+    n^3 / 3 flops beside the QR's 2 m n^2), and installs
+    ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` as two matrix products with that
+    inverse. The base solution for ``b`` is ``R^{-1} (Q.T b)``,
+    with ``Q.T b`` read off the factorization. Backend "cg" installs the
+    matrix-free conjugate-gradient solver from :mod:`lrlsq.cgls` instead;
+    ``cfg`` is its IterativeConfig.
 
     If ``b`` is given, the base solution ``x0`` is computed and bound to it
     (or validated against it, if supplied). Solves against a different b
-    later simply cost one extra base solve.
+    later cost one extra base solve, ``R x = Q.T rhs``. The first of them
+    also forms the m x n Q (LAPACK ``orgqr``, about as long as this whole
+    call), once, under a lock; concurrent first callers wait for it.
 
     Raises NonFiniteValue when a or b holds NaN or infinity, and
     RankDeficient when a lacks full column rank (QR backend).
@@ -238,8 +270,11 @@ def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None) -> PreparedBase:
 
     a = _base_matrix(a)
     m, n = a.shape
-    f = kernels.qr_thin(a)
-    rinv = kernels.invert_upper_triangular(f.r)
+    b = _bound_rhs(b, x0, m)
+    h = kernels.householder_qr(a, b)
+    rinv = kernels.invert_upper_triangular(h.r)
+    q_lock = threading.Lock()
+    q = None
 
     def ata_solver(c):
         # (R^{-T} c).T = c.T R^{-1}, then R^{-1} y = (y.T R^{-T}).T: both
@@ -247,9 +282,15 @@ def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None) -> PreparedBase:
         return ((c.T @ rinv) @ rinv.T).T
 
     def lstsq_solver(rhs):
-        return kernels.solve_upper_triangular(f.r, f.q.T @ rhs)
+        nonlocal q
+        if q is None:
+            with q_lock:
+                if q is None:
+                    q = kernels.form_q(h)
+        return kernels.solve_upper_triangular(h.r, q.T @ rhs)
 
-    b_bound, x0_bound = _bind_x0(a, b, x0, lstsq_solver)
+    b_bound, x0_bound = _bind_x0(
+        a, b, x0, lambda: kernels.solve_upper_triangular(h.r, h.qtb))
     return PreparedBase(
         a=a, m=m, n=n, backend="qr",
         ata_solver=ata_solver, lstsq_solver=lstsq_solver,
@@ -386,14 +427,15 @@ def pinv_update_explicit(a, u, v) -> np.ndarray:
 
 
 def baseline_solve(a, u, v, b) -> np.ndarray:
-    """From-scratch thin-QR solve of ``min ||b - (a + u v.T) x||_2``.
+    """From-scratch QR solve of ``min ||b - (a + u v.T) x||_2``.
 
-    Assembles the updated matrix, factors it, and back-substitutes. This is
-    the correctness oracle and the timing baseline the update path is
-    measured against.
+    Assembles the updated matrix, factors ``[a + u v.T | b]`` by Householder
+    QR without forming Q, and back-substitutes on ``Q.T b``. This is the
+    correctness oracle and the timing baseline the update path is measured
+    against.
 
     Raises NonFiniteValue when a, u, v or b holds NaN or infinity (for a,
-    u and v through ``qr_thin``'s test of the factor), and RankDeficient
+    u and v through ``householder_qr``'s test of the factor), and RankDeficient
     when ``a + u v.T`` lacks full column rank.
     """
     a = np.asarray(a, dtype=np.float64)
@@ -401,6 +443,5 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _require_finite(b, "b")
-    ahat = a + u @ v.T
-    f = kernels.qr_thin(ahat)
-    return kernels.solve_upper_triangular(f.r, f.q.T @ b)
+    h = kernels.householder_qr(a + u @ v.T, b)
+    return kernels.solve_upper_triangular(h.r, h.qtb)

@@ -11,6 +11,9 @@ from lrlsq.errors import (
     SingularMatrix,
 )
 from lrlsq.kernels import (
+    COPY_BLOCK,
+    form_q,
+    householder_qr,
     invert_upper_triangular,
     lu_apply,
     lu_factor_checked,
@@ -92,6 +95,69 @@ def test_qr_non_finite_entry_off_the_diagonal_of_r(bad):
     # and every diagonal entry of r stays finite.
     with pytest.raises(NonFiniteValue):
         qr_thin(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
+
+
+# ------------------------------------------------ householder_qr, form_q
+
+@pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (40, 9), (2 * COPY_BLOCK + 3, 5)])
+@pytest.mark.parametrize("with_b", [True, False])
+def test_householder_qr_matches_qr_thin(m, n, with_b):
+    # m = n makes [a | b] wider than tall, and m = n + 1 gives b a
+    # reflector of its own below the top n rows; m > COPY_BLOCK crosses
+    # block edges of the transposed copy.
+    rng = np.random.default_rng(m * 100 + n)
+    a = rng.standard_normal((m, n))
+    b = rng.standard_normal(m) if with_b else None
+    f = qr_thin(a)
+    h = householder_qr(a, b)
+    assert np.linalg.norm(h.r - f.r) <= 1e-13 * np.linalg.norm(f.r)
+    if with_b:
+        ref = f.q.T @ b
+        assert np.linalg.norm(h.qtb - ref) <= 1e-13 * np.linalg.norm(b)
+    else:
+        assert h.qtb is None
+    q = form_q(h)
+    assert q.shape == (m, n) and q.flags.f_contiguous
+    assert np.linalg.norm(q - f.q) <= 1e-13 * n
+    if with_b:
+        assert np.linalg.norm(q.T @ b - h.qtb) <= 1e-13 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_householder_qr_leaves_input_untouched(order):
+    rng = np.random.default_rng(9)
+    a = np.array(rng.standard_normal((30, 7)), order=order)
+    a[:, 0] *= -1.0
+    b = rng.standard_normal(30)
+    keep_a, keep_b = a.copy(order="K"), b.copy()
+    h = householder_qr(a, b)
+    np.testing.assert_array_equal(a, keep_a)
+    np.testing.assert_array_equal(b, keep_b)
+    assert all(not np.shares_memory(x, y) for x in h for y in (a, b))
+
+
+def test_householder_qr_least_squares_hand_checked():
+    # a = [e1, -e2] needs no reflection; the sign normalization makes
+    # r = I and q = a, so q.T b = [3, 4].
+    a = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+    h = householder_qr(a, np.array([3.0, -4.0, 5.0]))
+    np.testing.assert_allclose(h.r, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(h.qtb, [3.0, 4.0], atol=1e-15)
+
+
+def test_householder_qr_rejects_bad_b():
+    with pytest.raises(DimensionMismatch):
+        householder_qr(np.eye(3), np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        householder_qr(np.eye(3), np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_householder_qr_non_finite_qtb(bad):
+    b = np.ones(20)
+    b[0] = bad
+    with pytest.raises(NonFiniteValue, match=r"\[a \| b\]"):
+        householder_qr(np.random.default_rng(5).standard_normal((20, 4)), b)
 
 
 # --------------------------------------------------- solve_upper_triangular

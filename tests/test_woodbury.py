@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import draw_family, draw_instance, rank_drop_instance
 from oracles import numerical_rank, pinv_oracle
+from lrlsq import kernels
 from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
 from lrlsq.kernels import qr_thin, solve_upper_triangular
 from lrlsq.woodbury import (
@@ -238,6 +242,101 @@ def test_qr_thin_stays_off_numpy_qr(monkeypatch):
     np.testing.assert_array_equal(baseline_solve(a, u, v, b), x_ref)
 
 
+def _explicit_q_solve(a, b):
+    f = qr_thin(a)
+    return solve_upper_triangular(f.r, f.q.T @ b)
+
+
+def test_bound_rhs_never_forms_q(monkeypatch):
+    # prepare, the workspace and the solve with the bound b need only Q.T b,
+    # which the factorization of [a | b] carries.
+    rng = np.random.default_rng(31)
+    a, b, u, v, _, _ = draw_instance(rng, 50, 8, 2)
+    x0_ref = _explicit_q_solve(a, b)
+    x_ref = _explicit_q_solve(a + u @ v.T, b)
+
+    def forbidden(h):
+        raise AssertionError("Q formed")
+
+    monkeypatch.setattr(kernels, "form_q", forbidden)
+    base = prepare(a, b)
+    upd = LowRankUpdate(u, v)
+    ws = build_workspace(base, upd)
+    x = solve_updated(base, upd, ws, b, check_residual=True).x
+    assert np.linalg.norm(base.x0 - x0_ref) <= 1e-13 * np.linalg.norm(x0_ref)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_fresh_rhs_matches_explicit_q_solve():
+    rng = np.random.default_rng(32)
+    a, b, u, v, base, ws = draw_instance(rng, 300, 40, 3)
+    for b2 in rng.standard_normal((3, 300)):
+        x = base.lstsq_solver(b2)
+        ref = _explicit_q_solve(a, b2)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_fresh_rhs_forms_q_once_across_threads(monkeypatch):
+    rng = np.random.default_rng(33)
+    a = rng.standard_normal((400, 30))
+    b, b2 = rng.standard_normal((2, 400))
+    base = prepare(a, b)
+    calls = []
+    real_form_q = kernels.form_q
+
+    def counted(h):
+        calls.append(threading.get_ident())
+        threading.Event().wait(0.05)  # hold the lock while the others arrive
+        return real_form_q(h)
+
+    monkeypatch.setattr(kernels, "form_q", counted)
+    start = threading.Barrier(4)
+    out = [None] * 4
+
+    def first_fresh_solve(i):
+        start.wait()
+        out[i] = base.lstsq_solver(b2)
+
+    threads = [threading.Thread(target=first_fresh_solve, args=(i,)) for i in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert len(calls) == 1
+    for x in out[1:]:
+        np.testing.assert_array_equal(x, out[0])
+    ref = _explicit_q_solve(a, b2)
+    assert np.linalg.norm(out[0] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (12, 1), (30, 5)])
+@pytest.mark.parametrize("with_b", [True, False])
+def test_prepare_edge_shapes(m, n, with_b):
+    # m = n: [a | b] is wider than tall; m = n + 1: b has one row left below
+    # the top n; n = 1: a single reflector.
+    rng = np.random.default_rng(m * 10 + n)
+    a = rng.standard_normal((m, n)) + 3.0 * np.eye(m, n)
+    b, b2 = rng.standard_normal((2, m))
+    base = prepare(a, b if with_b else None)
+    if with_b:
+        ref = _explicit_q_solve(a, b)
+        assert np.linalg.norm(base.x0 - ref) <= 1e-13 * np.linalg.norm(ref)
+    else:
+        assert base.b is None and base.x0 is None
+    ref2 = _explicit_q_solve(a, b2)
+    assert np.linalg.norm(base.lstsq_solver(b2) - ref2) <= 1e-13 * np.linalg.norm(ref2)
+    upd = LowRankUpdate(rng.standard_normal((m, 1)), rng.standard_normal((n, 1)))
+    x = solve_updated(base, upd, build_workspace(base, upd), b2).x
+    x_ref = baseline_solve(a, upd.u, upd.v, b2)
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
 def test_update_shape_validation():
     with pytest.raises(DimensionMismatch):
         LowRankUpdate(np.ones((4, 2)), np.ones((4, 3)))  # r mismatch
@@ -435,6 +534,18 @@ def test_baseline_zero_update_equals_base():
 
 def test_baseline_hand_checked():
     np.testing.assert_allclose(baseline_solve(A32, U32, V32, B32), X32, atol=1e-14)
+
+
+def test_baseline_matches_explicit_q_reference():
+    rng = np.random.default_rng(35)
+    for m, n, r in [(200, 30, 3), (31, 30, 2), (30, 30, 1), (50, 1, 1)]:
+        a = rng.standard_normal((m, n)) + 3.0 * np.eye(m, n)
+        u = 0.1 * rng.standard_normal((m, r))
+        v = rng.standard_normal((n, r))
+        b = rng.standard_normal(m)
+        ref = _explicit_q_solve(a + u @ v.T, b)
+        x = baseline_solve(a, u, v, b)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_baseline_residual_certificate():
