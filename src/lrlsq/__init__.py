@@ -3,12 +3,11 @@
 Prepare a tall full-rank base matrix once, then solve
 ``min ||b - (a + u v.T) x||_2`` for many updates and right-hand sides at a
 fraction of the cost of refactoring. See ``lrlsq.woodbury`` for the solver,
-``lrlsq.cgls`` for the matrix-free backend, ``lrlsq.bench`` for the timing
-harness, and ``lrlsq.cli`` for the command line.
+``lrlsq.bench`` for the timing harness, and ``lrlsq.cli`` for the command
+line.
 """
 
 from .bench import BenchConfig, gen_gaussian, run_benchmark, stream_id
-from .cgls import IterativeConfig, make_iterative_base, normal_cg_solve
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -19,11 +18,7 @@ from .errors import (
     SingularCapacitance,
     SingularMatrix,
 )
-from .kernels import (
-    QRFactors,
-    qr_thin,
-    solve_upper_triangular,
-)
+from .kernels import solve_upper_triangular
 from .mio import BenchRecord, CSV_HEADER, read_bench_csv, read_matrix, write_bench_csv, write_matrix
 from .woodbury import (
     LowRankUpdate,
@@ -48,13 +43,11 @@ __all__ = [
     "CSV_HEADER",
     "ConvergenceFailure",
     "DimensionMismatch",
-    "IterativeConfig",
     "LowRankUpdate",
     "LrlsqError",
     "MalformedHeader",
     "NonFiniteValue",
     "PreparedBase",
-    "QRFactors",
     "RankDeficient",
     "SingularCapacitance",
     "SingularMatrix",
@@ -64,11 +57,8 @@ __all__ = [
     "baseline_solve",
     "build_workspace",
     "gen_gaussian",
-    "make_iterative_base",
-    "normal_cg_solve",
     "pinv_update_explicit",
     "prepare",
-    "qr_thin",
     "read_bench_csv",
     "read_matrix",
     "run_benchmark",

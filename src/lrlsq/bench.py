@@ -83,7 +83,6 @@ class BenchConfig:
     r_list: tuple[int, ...]
     reps: int
     seed: int
-    backend: str = "qr"
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -99,8 +98,6 @@ class BenchConfig:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.backend not in ("qr", "cg"):
-            raise ValueError(f"backend must be 'qr' or 'cg', got {self.backend!r}")
 
 
 def _instance_data(cfg: BenchConfig, n: int, r: int, rep: int):
@@ -126,8 +123,8 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     """Run the sweep; returns per-rep records (``write_bench_csv`` stores them).
 
     Any solver error aborts the run, re-raised as the same type with the
-    offending (n, r, rep) attached and the original's attributes (for
-    example a ConvergenceFailure's ``iterations`` and ``residuals``) kept.
+    offending (n, r, rep) attached and the original's attributes (any
+    diagnostics an error type carries) kept.
     """
     records: list[BenchRecord] = []
     for n in cfg.n_list:
@@ -136,7 +133,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
             b = gen_gaussian(cfg.seed, stream_id(n, r, 0, ROLE_B), cfg.m, 1).ravel()
             stage = "prepare"
             try:
-                base = prepare(a, b, backend=cfg.backend)
+                base = prepare(a, b)
                 stage = "warm-up"
                 u, v = _instance_data(cfg, n, r, 0)
                 _timed_pair(a, b, base, u, v)  # warm-up, result discarded
@@ -154,7 +151,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     f"benchmark instance m={cfg.m}, n={n}, r={r} failed at "
                     f"{stage}: {err}"
                 )
-                # Keep diagnostics such as ConvergenceFailure.iterations.
+                # Keep the diagnostics an error type carries as attributes.
                 vars(wrapped).update(vars(err))
                 raise wrapped from err
     return records

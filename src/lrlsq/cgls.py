@@ -1,14 +1,15 @@
-"""Matrix-free conjugate-gradient backend for normal-equation systems.
+"""Matrix-free conjugate gradients on the normal equations.
 
-Solves ``(a.T a) z = c`` using only products with ``a`` and ``a.T``; the
-n x n normal matrix is never formed, so ``a`` may be any operator exposing
-``shape``, ``@`` and ``.T``. This is the fallback when no factorization of
-the base matrix exists.
+``normal_cg_solve`` solves ``(a.T a) z = c`` using only products with ``a``
+and ``a.T``; the n x n normal matrix is never formed, so ``a`` may be any
+operator exposing ``shape``, ``@`` and ``.T``. The library's solvers do
+not use it: it is kept only for the benchmark's ``cgls.*`` layers, which
+time it against the factored base, and goes when those layers do.
 
 Caveat: iterating on the normal operator squares the condition number of
-``a``. With the default tolerances the backend agrees with the direct QR
-backend to ~1e-8 for cond(a) up to ~1e2; beyond that, expect degraded
-accuracy or convergence failures.
+``a``. With the default tolerances it agrees with the ``R^{-1}`` solve of
+``lrlsq.woodbury.ata_solve`` to ~1e-8 for cond(a) up to ~1e2; beyond
+that, expect degraded accuracy or convergence failures.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch
-from .woodbury import PreparedBase, _base_matrix, _bind_x0, _bound_rhs
 
 DEFAULT_TOL = 1e-12
 
@@ -128,30 +128,3 @@ def normal_cg_solve(a, c, cfg: IterativeConfig | None = None):
             residuals=rel_resid,
         )
     return (z[:, 0] if single else z), steps
-
-
-def make_iterative_base(a, b=None, cfg: IterativeConfig | None = None,
-                        x0=None) -> PreparedBase:
-    """PreparedBase whose solvers run matrix-free CG instead of QR.
-
-    The base least squares solution is obtained through the same operator:
-    ``x0 = (a.T a)^{-1} (a.T b)``. Raises NonFiniteValue when a or b holds
-    NaN or infinity, and ConvergenceFailure as ``normal_cg_solve`` does.
-    """
-    cfg = cfg if cfg is not None else IterativeConfig()
-    a = _base_matrix(a)
-    m, n = a.shape
-    b = _bound_rhs(b, x0, m)
-
-    def ata_solver(c):
-        return normal_cg_solve(a, c, cfg)[0]
-
-    def lstsq_solver(rhs):
-        return ata_solver(a.T @ rhs)
-
-    b_bound, x0_bound = _bind_x0(a, b, x0, lambda: lstsq_solver(b))
-    return PreparedBase(
-        a=a, m=m, n=n, backend="cg",
-        ata_solver=ata_solver, lstsq_solver=lstsq_solver,
-        b=b_bound, x0=x0_bound,
-    )

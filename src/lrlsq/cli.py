@@ -3,9 +3,9 @@
 Subcommands::
 
     lrlsq solve --a A.mtx --b b.mtx --u U.mtx --v V.mtx [--x0 x0.mtx]
-                [--backend qr|cg] --out x.mtx
+                --out x.mtx
     lrlsq bench --m M --n-list a,b,c --r-list a,b --reps R --seed S
-                [--backend qr|cg] --out results.csv
+                --out results.csv
 
 Exit codes:
     0  success
@@ -14,7 +14,6 @@ Exit codes:
     3  malformed or inconsistent input file
     4  rank-deficient base or updated matrix
     5  singular system or singular capacitance (update kills full rank)
-    6  iterative backend failed to converge
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 from .bench import BenchConfig, run_benchmark
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     MalformedHeader,
     NonFiniteValue,
@@ -42,7 +40,6 @@ _ERROR_CODES = (
     (RankDeficient, 4),
     (SingularCapacitance, 5),
     (SingularMatrix, 5),
-    (ConvergenceFailure, 6),
     (MalformedHeader, 3),
     (NonFiniteValue, 3),
     (DimensionMismatch, 3),
@@ -74,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Least squares solves for low-rank-updated matrices.",
         epilog="Exit codes: 0 success, 2 usage, 3 bad input file, "
                "4 rank-deficient, 5 singular system/capacitance, "
-               "6 no convergence, 1 other errors.",
+               "1 other errors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -87,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--u", required=True, help="update factor U (m x r)")
     solve.add_argument("--v", required=True, help="update factor V (n x r)")
     solve.add_argument("--x0", help="precomputed base solution (n x 1), validated")
-    solve.add_argument("--backend", choices=("qr", "cg"), default="qr")
     solve.add_argument("--out", required=True, help="output path for x (n x 1)")
 
     bench = sub.add_parser(
@@ -101,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated update ranks, e.g. 10,20,30")
     bench.add_argument("--reps", type=int, required=True, help="timed repetitions")
     bench.add_argument("--seed", type=_uint64, required=True, help="master seed")
-    bench.add_argument("--backend", choices=("qr", "cg"), default="qr")
     bench.add_argument("--out", required=True, help="output CSV path")
     return parser
 
@@ -123,7 +118,7 @@ def _run_solve(args) -> int:
     u = read_matrix(args.u)
     v = read_matrix(args.v)
     x0 = _read_vector(args.x0, "x0") if args.x0 else None
-    base = prepare(a, b, backend=args.backend, x0=x0)
+    base = prepare(a, b, x0=x0)
     upd = LowRankUpdate(u, v)
     ws = build_workspace(base, upd)
     outcome = solve_updated(base, upd, ws, b)
@@ -134,7 +129,7 @@ def _run_solve(args) -> int:
 def _run_bench(args) -> int:
     cfg = BenchConfig(
         m=args.m, n_list=args.n_list, r_list=args.r_list,
-        reps=args.reps, seed=args.seed, backend=args.backend,
+        reps=args.reps, seed=args.seed,
     )
     records = run_benchmark(cfg)
     write_bench_csv(args.out, records)

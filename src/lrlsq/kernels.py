@@ -6,11 +6,12 @@ and scipy). On-disk exchange is column-major (see ``lrlsq.mio``); in-memory
 stride order is whatever the underlying routine produces (``qr_thin``'s q
 is Fortran-ordered).
 
-The base QR comes in two steps. ``householder_qr`` factors a, or
-``[a | b]``, and returns r, ``q.T @ b`` and the Householder reflectors,
-which is all a least squares solve for that one b needs. ``form_q`` turns
-the reflectors into q, in place, for the callers that need q itself;
-``qr_thin`` is the two in sequence.
+The base QR is ``householder_qr``: it factors a, or ``[a | b]``, and
+returns r, ``q.T @ b`` and the Householder reflectors, which is all the
+library needs; it never forms q. ``form_q`` turns the reflectors into q,
+in place, and ``qr_thin`` is the two in sequence. Those two, with
+``QRFactors``, are kept only for tests and for the benchmark's
+``kernels.qr_thin`` layer.
 
 Every function but ``form_q`` is pure: inputs are never modified, results
 are fresh arrays, so they are safe to call concurrently on shared read-only

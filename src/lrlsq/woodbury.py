@@ -17,30 +17,30 @@ solver detects and rejects rank-dropping updates. The n x n correction is
 never materialized; ``prepare``/``build_workspace``/``solve_updated`` carry
 only z (n x 2r), yt (2r x n) and the factored 2r x 2r capacitance.
 
-With the QR backend, ``prepare`` inverts R once, so ``z`` costs two
-n x n by n x 2r products instead of two triangular solves. The update
-path then does all of its level-3 work through numpy's BLAS: scipy
-bundles a second OpenBLAS whose thread pool, once woken by a multi-column
-triangular solve, keeps spinning and slows numpy's next product over
-``a`` (see the README's performance note). Skinny products are written
-with the skinny operand on the left, ``u.T @ a`` rather than
+``prepare`` factors ``[a | b]`` by Householder QR, inverts R once and
+keeps only that inverse: Q and the Householder reflectors are dropped
+before it returns, so a prepared base holds n^2 + n doubles beyond ``a``
+and the bound b. The bound b needs only ``Q.T b``, which the factorization
+carries. Any other right-hand side is solved by the corrected seminormal
+equations (CSNE; Björck 1987, LAA 88/89), from ``a`` and R^{-1} alone.
+
+``z`` then costs two n x n by n x 2r products instead of two triangular
+solves, so the update path does all of its level-3 work through numpy's
+BLAS: scipy bundles a second OpenBLAS whose thread pool, once woken by a
+multi-column triangular solve, keeps spinning and slows numpy's next
+product over ``a`` (see the README's performance note). Skinny products
+are written with the skinny operand on the left, ``u.T @ a`` rather than
 ``a.T @ u``, which is the faster layout for C-ordered ``a``.
 
-With the QR backend, ``prepare`` factors ``[a | b]`` and never forms Q:
-the bound b needs only ``Q.T b``, which the factorization carries. Q is
-built once, under a lock, the first time a base least squares solve gets
-a right-hand side other than the bound b.
-
-Everything here is immutable after construction, apart from that lazily
-built Q, and pure in the solve path: one PreparedBase may serve many
+Every record here is immutable after construction, with no lazily built
+state, and the solve path is pure: one PreparedBase may serve many
 workspaces, and one workspace many right-hand sides, concurrently.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -61,23 +61,22 @@ CAP_GUARD = 1e3
 
 @dataclass(frozen=True)
 class PreparedBase:
-    """Reusable solver state for one base matrix.
+    """Reusable solver state for one base matrix, built by :func:`prepare`.
 
-    Bundles the base matrix, solver closures for ``a.T a``-systems and for
-    base least squares problems, and optionally the base solution ``x0``
-    bound to one right-hand side ``b``. Built by :func:`prepare` (direct QR
-    backend) or :func:`lrlsq.cgls.make_iterative_base` (matrix-free CG
-    backend). The fields never change. The QR backend's ``lstsq_solver``
-    forms Q on its first call, under a lock, so the base is still safe to
-    share across updates and threads.
+    a    : the m x n base matrix.
+    rinv : n x n inverse of the upper-triangular QR factor R of a;
+           read-only.
+    b, x0: optionally, one bound right-hand side and its base least squares
+           solution; read-only copies.
+
+    Plain arrays, none of them written after construction, so one base is
+    safe to share across updates and threads.
     """
 
     a: np.ndarray
     m: int
     n: int
-    backend: str
-    ata_solver: Callable[[np.ndarray], np.ndarray]
-    lstsq_solver: Callable[[np.ndarray], np.ndarray]
+    rinv: np.ndarray
     b: Optional[np.ndarray] = None
     x0: Optional[np.ndarray] = None
 
@@ -172,7 +171,7 @@ def _require_finite(x: np.ndarray, name: str) -> None:
 
 
 def _base_matrix(a) -> np.ndarray:
-    """Validate a base matrix for either backend: 2-D, m >= n, finite."""
+    """Validate a base matrix: 2-D, m >= n, finite."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionMismatch(f"a must be a 2-D matrix, got ndim={a.ndim}")
@@ -204,106 +203,65 @@ def _bound_rhs(b, x0, m: int) -> Optional[np.ndarray]:
     return b
 
 
-def _bind_x0(a, b, x0, solve_b):
-    """Freeze the (b, x0) pair of a prepared base; b comes from _bound_rhs.
-
-    A supplied x0 is validated against the normal equations; otherwise
-    ``solve_b()`` computes it.
-    """
-    if b is None:
-        return None, None
-    if x0 is None:
-        x0 = solve_b()
-    else:
-        n = a.shape[1]
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.ndim != 1 or x0.shape[0] != n:
-            raise DimensionMismatch(
-                f"x0 must be a length-{n} vector, got shape {x0.shape}"
-            )
-        # Screened before any product with it, which NaN or inf would turn
-        # into a RuntimeWarning ahead of this error.
-        if not np.isfinite(x0).all():
-            raise ValueError(
-                "supplied x0 does not solve the base least squares problem "
-                "(it holds NaN or infinite entries)"
-            )
-        anorm = float(np.linalg.norm(a))
-        resid = float(np.linalg.norm(a.T @ (a @ x0 - b)))
-        bound = NE_TOL * anorm**2 * (np.linalg.norm(x0) + np.linalg.norm(b) / anorm)
-        # NaN compares False, and an overflow makes the bound infinite.
-        if not (resid <= bound < np.inf):
-            raise ValueError(
-                f"supplied x0 does not solve the base least squares problem "
-                f"(normal-equations residual {resid:.3e} > {bound:.3e})"
-            )
-    return _freeze(b.copy()), _freeze(np.array(x0, dtype=np.float64))
+def _check_x0(a, b, x0) -> np.ndarray:
+    """Validate a supplied base solution x0 against the normal equations."""
+    n = a.shape[1]
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.ndim != 1 or x0.shape[0] != n:
+        raise DimensionMismatch(f"x0 must be a length-{n} vector, got shape {x0.shape}")
+    # Screened before any product with it, which NaN or inf would turn
+    # into a RuntimeWarning ahead of this error.
+    if not np.isfinite(x0).all():
+        raise ValueError(
+            "supplied x0 does not solve the base least squares problem "
+            "(it holds NaN or infinite entries)"
+        )
+    anorm = float(np.linalg.norm(a))
+    resid = float(np.linalg.norm(a.T @ (a @ x0 - b)))
+    bound = NE_TOL * anorm**2 * (np.linalg.norm(x0) + np.linalg.norm(b) / anorm)
+    # NaN compares False, and an overflow makes the bound infinite.
+    if not (resid <= bound < np.inf):
+        raise ValueError(
+            f"supplied x0 does not solve the base least squares problem "
+            f"(normal-equations residual {resid:.3e} > {bound:.3e})"
+        )
+    return x0
 
 
-def prepare(a, b=None, backend: str = "qr", x0=None, cfg=None) -> PreparedBase:
+def prepare(a, b=None, x0=None) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
-    With the default "qr" backend this factors ``[a | b]`` (``a`` alone
-    without b) by Householder QR without forming Q, inverts R once (about
-    n^3 / 3 flops beside the QR's 2 m n^2), and installs
-    ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` as two matrix products with that
-    inverse. The base solution for ``b`` is ``R^{-1} (Q.T b)``,
-    with ``Q.T b`` read off the factorization. Backend "cg" installs the
-    matrix-free conjugate-gradient solver from :mod:`lrlsq.cgls` instead;
-    ``cfg`` is its IterativeConfig.
+    Factors ``[a | b]`` (``a`` alone without b) by Householder QR without
+    forming Q, inverts R once (about n^3 / 3 flops beside the QR's
+    2 m n^2) and keeps only that inverse; the factorization itself is
+    released before this returns. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is
+    then two matrix products with the inverse (:func:`ata_solve`).
 
-    If ``b`` is given, the base solution ``x0`` is computed and bound to it
-    (or validated against it, if supplied). Solves against a different b
-    later cost one extra base solve, ``R x = Q.T rhs``. The first of them
-    also forms the m x n Q (LAPACK ``orgqr``, about as long as this whole
-    call), once, under a lock; concurrent first callers wait for it.
+    If ``b`` is given, the base solution ``x0 = R^{-1} (Q.T b)``, with
+    ``Q.T b`` read off the factorization, is computed and bound to it (or,
+    if supplied, validated against the normal equations). A different
+    right-hand side later costs three passes over ``a``
+    (:func:`base_lstsq`).
 
     Raises NonFiniteValue when a or b holds NaN or infinity, and
-    RankDeficient when a lacks full column rank (QR backend).
+    RankDeficient when a lacks full column rank.
     """
-    if backend == "cg":
-        from .cgls import make_iterative_base
-
-        return make_iterative_base(a, b=b, cfg=cfg, x0=x0)
-    if backend != "qr":
-        raise ValueError(f"unknown backend {backend!r}; expected 'qr' or 'cg'")
-
     a = _base_matrix(a)
     m, n = a.shape
     b = _bound_rhs(b, x0, m)
     h = kernels.householder_qr(a, b)
-    rinv = kernels.invert_upper_triangular(h.r)
-    q_lock = threading.Lock()
-    q = None
-
-    def ata_solver(c):
-        # (R^{-T} c).T = c.T R^{-1}, then R^{-1} y = (y.T R^{-T}).T: both
-        # products keep the skinny operand on the left of the n x n inverse.
-        return ((c.T @ rinv) @ rinv.T).T
-
-    def lstsq_solver(rhs):
-        nonlocal q
-        if q is None:
-            with q_lock:
-                if q is None:
-                    q = kernels.form_q(h)
-        return kernels.solve_upper_triangular(h.r, q.T @ rhs)
-
-    b_bound, x0_bound = _bind_x0(
-        a, b, x0, lambda: kernels.solve_upper_triangular(h.r, h.qtb))
-    return PreparedBase(
-        a=a, m=m, n=n, backend="qr",
-        ata_solver=ata_solver, lstsq_solver=lstsq_solver,
-        b=b_bound, x0=x0_bound,
-    )
+    rinv = _freeze(kernels.invert_upper_triangular(h.r))
+    if b is not None:
+        x0 = (kernels.solve_upper_triangular(h.r, h.qtb) if x0 is None
+              else _check_x0(a, b, x0))
+        b, x0 = _freeze(b.copy()), _freeze(np.array(x0, dtype=np.float64))
+    return PreparedBase(a=a, m=m, n=n, rinv=rinv, b=b, x0=x0)
 
 
 def ata_solve(base: PreparedBase, c) -> np.ndarray:
-    """Solve ``(a.T a) z = c`` through the base's installed solver.
+    """Solve ``(a.T a) z = c`` by two products with the prepared R^{-1}.
 
-    c may hold several stacked columns. With the QR backend this is two
-    products with the prepared R^{-1}; with the CG backend, one CG run per
-    column. The result z satisfies
+    c may hold several stacked columns. The result z satisfies
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
     """
@@ -312,7 +270,27 @@ def ata_solve(base: PreparedBase, c) -> np.ndarray:
         raise DimensionMismatch(
             f"c must have {base.n} rows to conform with the base, got shape {c.shape}"
         )
-    return base.ata_solver(c)
+    # (R^{-T} c).T = c.T R^{-1}, then R^{-1} y = (y.T R^{-T}).T: both
+    # products keep the skinny operand on the left of the n x n inverse.
+    return ((c.T @ base.rinv) @ base.rinv.T).T
+
+
+def base_lstsq(base: PreparedBase, c) -> np.ndarray:
+    """Minimize ``||c - a x||_2`` for any right-hand side c of length m.
+
+    Runs the corrected seminormal equations (CSNE; Björck 1987, *Stability
+    analysis of the method of seminormal equations for linear least squares
+    problems*, LAA 88/89): the seminormal solve ``x = (a.T a)^{-1} a.T c``
+    through R^{-1}, then one correction step on its residual. Three passes
+    over ``a`` and no Q. The correction is what keeps the error within the
+    least squares sensitivity bound ``kappa eps + kappa^2 eps ||r|| /
+    (||a|| ||x||)``; the seminormal solve alone exceeds it by orders of
+    magnitude on ill-conditioned a.
+    """
+    a = base.a
+    x = ata_solve(base, a.T @ c)
+    x += ata_solve(base, a.T @ (c - a @ x))
+    return x
 
 
 def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
@@ -359,7 +337,7 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
         x    = w - z @ solve(I + yt @ z, yt @ w)
 
     where x0 is reused from the base when b matches the bound right-hand
-    side and recomputed through the base solver otherwise. Intermediates
+    side and recomputed by :func:`base_lstsq` otherwise. Intermediates
     stay O(r)-sized: yt @ w first, then the capacitance solve, then one
     n x 2r product.
 
@@ -380,7 +358,7 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
         # The bound b was screened by prepare; any other b is screened here,
         # beside the pass over the base that its solve costs anyway.
         _require_finite(b, "b")
-        x0 = base.lstsq_solver(b)
+        x0 = base_lstsq(base, b)
     w = x0 + ws.z[:, : ws.rank] @ (upd.u.T @ b)
     x = w - ws.z @ kernels.lu_apply(ws.cap_factors, ws.yt @ w)
     ne = updated_normal_residual(base.a, upd.u, upd.v, x, b) if check_residual else None

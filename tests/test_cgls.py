@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import draw_instance
-from lrlsq.cgls import IterativeConfig, make_iterative_base, normal_cg_solve
+from lrlsq.cgls import IterativeConfig, normal_cg_solve
 from lrlsq.errors import ConvergenceFailure, DimensionMismatch
 from lrlsq.kernels import qr_thin
-from lrlsq.woodbury import LowRankUpdate, ata_solve, build_workspace, prepare, solve_updated
+from lrlsq.woodbury import ata_solve, prepare
 
 
 class ProductLoggingOperator:
@@ -108,49 +107,3 @@ def test_matrix_free_contract():
     assert {kind for kind, _ in log} == {"matvec", "rmatvec"}
     z_ref = ata_solve(prepare(mat), c)
     assert np.linalg.norm(z - z_ref) <= 1e-8 * np.linalg.norm(z_ref)
-
-
-# ------------------------------------------------------- make_iterative_base
-
-def test_base_identity():
-    b = np.array([2.0, -1.0, 0.5])
-    base = make_iterative_base(np.eye(3), b)
-    np.testing.assert_allclose(base.x0, b, atol=1e-14)
-
-
-def test_base_orthonormal_columns():
-    rng = np.random.default_rng(34)
-    q = qr_thin(rng.standard_normal((12, 5))).q
-    b = rng.standard_normal(12)
-    base = make_iterative_base(q, b)
-    np.testing.assert_allclose(base.x0, q.T @ b, atol=1e-11)
-
-
-def test_base_matches_qr_prepare():
-    rng = np.random.default_rng(35)
-    a = rng.standard_normal((300, 30))
-    b = rng.standard_normal(300)
-    x_cg = make_iterative_base(a, b).x0
-    x_qr = prepare(a, b).x0
-    assert np.linalg.norm(x_cg - x_qr) <= 1e-8 * np.linalg.norm(x_qr)
-
-
-def test_backend_equivalence_full_solve():
-    rng = np.random.default_rng(36)
-    for _ in range(10):
-        a, b, u, v, base_qr, ws_qr = draw_instance(rng, 120, 15, 2, cond_cap=1e2)
-        upd = LowRankUpdate(u, v)
-        base_cg = prepare(a, b, backend="cg")
-        ws_cg = build_workspace(base_cg, upd)
-        x_qr = solve_updated(base_qr, upd, ws_qr, b).x
-        x_cg = solve_updated(base_cg, upd, ws_cg, b).x
-        assert np.linalg.norm(x_cg - x_qr) <= 1e-8 * np.linalg.norm(x_qr)
-
-
-def test_prepare_backend_aliases():
-    rng = np.random.default_rng(37)
-    a = rng.standard_normal((20, 4))
-    b = rng.standard_normal(20)
-    assert prepare(a, b, backend="cg").backend == "cg"
-    with pytest.raises(ValueError, match="unknown backend"):
-        prepare(a, b, backend="iterative")

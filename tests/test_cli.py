@@ -42,12 +42,6 @@ def test_solve_with_precomputed_x0(worked_instance, tmp_path):
                                [[4.0], [4.0]], atol=1e-14)
 
 
-def test_solve_cg_backend(worked_instance):
-    assert cli_main(_solve_args(worked_instance, "--backend", "cg")) == 0
-    np.testing.assert_allclose(read_matrix(worked_instance["out"]),
-                               [[4.0], [4.0]], atol=1e-10)
-
-
 def test_missing_flag_is_usage_error(capsys):
     rc = cli_main(["solve", "--a", "a.mtx"])
     assert rc == 2
@@ -56,6 +50,12 @@ def test_missing_flag_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error():
     assert cli_main(["transmogrify"]) == 2
+
+
+def test_backend_flag_is_usage_error(worked_instance, capsys):
+    # The one base solver is the factored one; the CG backend is gone.
+    assert cli_main(_solve_args(worked_instance, "--backend", "cg")) == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_rank_deficient_maps_to_exit_4(worked_instance, tmp_path, capsys):
