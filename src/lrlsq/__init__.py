@@ -9,7 +9,6 @@ line.
 
 from .bench import BenchConfig, gen_gaussian, run_benchmark, stream_id
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     LrlsqError,
     MalformedHeader,
@@ -41,7 +40,6 @@ __all__ = [
     "BenchConfig",
     "BenchRecord",
     "CSV_HEADER",
-    "ConvergenceFailure",
     "DimensionMismatch",
     "LowRankUpdate",
     "LrlsqError",

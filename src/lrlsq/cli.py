@@ -2,8 +2,7 @@
 
 Subcommands::
 
-    lrlsq solve --a A.mtx --b b.mtx --u U.mtx --v V.mtx [--x0 x0.mtx]
-                --out x.mtx
+    lrlsq solve --a A.mtx --b b.mtx --u U.mtx --v V.mtx --out x.mtx
     lrlsq bench --m M --n-list a,b,c --r-list a,b --reps R --seed S
                 --out results.csv
 
@@ -83,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--b", required=True, help="right-hand side b (m x 1)")
     solve.add_argument("--u", required=True, help="update factor U (m x r)")
     solve.add_argument("--v", required=True, help="update factor V (n x r)")
-    solve.add_argument("--x0", help="precomputed base solution (n x 1), validated")
     solve.add_argument("--out", required=True, help="output path for x (n x 1)")
 
     bench = sub.add_parser(
@@ -117,8 +115,7 @@ def _run_solve(args) -> int:
     b = _read_vector(args.b, "b")
     u = read_matrix(args.u)
     v = read_matrix(args.v)
-    x0 = _read_vector(args.x0, "x0") if args.x0 else None
-    base = prepare(a, b, x0=x0)
+    base = prepare(a, b)
     upd = LowRankUpdate(u, v)
     ws = build_workspace(base, upd)
     outcome = solve_updated(base, upd, ws, b)

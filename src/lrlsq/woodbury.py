@@ -23,6 +23,8 @@ before it returns, so a prepared base holds n^2 + n doubles beyond ``a``
 and the bound b. The bound b needs only ``Q.T b``, which the factorization
 carries. Any other right-hand side is solved by the corrected seminormal
 equations (CSNE; Björck 1987, LAA 88/89), from ``a`` and R^{-1} alone.
+One solve body serves a vector b and an m x k block, so the k columns of
+a block share every pass over ``a``.
 
 ``z`` then costs two n x n by n x 2r products instead of two triangular
 solves, so the update path does all of its level-3 work through numpy's
@@ -30,7 +32,8 @@ BLAS: scipy bundles a second OpenBLAS whose thread pool, once woken by a
 multi-column triangular solve, keeps spinning and slows numpy's next
 product over ``a`` (see the README's performance note). Skinny products
 are written with the skinny operand on the left, ``u.T @ a`` rather than
-``a.T @ u``, which is the faster layout for C-ordered ``a``.
+``a.T @ u`` and ``(c.T @ a).T`` rather than ``a.T @ c``, which is the
+faster layout for C-ordered ``a``.
 
 Every record here is immutable after construction, with no lazily built
 state, and the solve path is pure: one PreparedBase may serve many
@@ -47,11 +50,6 @@ import numpy as np
 from . import kernels
 from .errors import DimensionMismatch, NonFiniteValue, SingularCapacitance
 from .kernels import EPS
-
-# Acceptance threshold for normal-equations residuals of supplied base
-# solutions; adequate for instances with condition up to ~1e3. For
-# worse-conditioned data, leave x0 out and let the base solver compute it.
-NE_TOL = 1e-10
 
 # Capacitance rejection guard: fail when rcond < 2r * eps * CAP_GUARD.
 # Separates genuine rank drop (rcond at roundoff level) from mild
@@ -187,14 +185,12 @@ def updated_normal_residual(a, u, v, x, b) -> float:
     return float(np.linalg.norm(a.T @ rr + v @ (u.T @ rr)))
 
 
-def _bound_rhs(b, x0, m: int) -> Optional[np.ndarray]:
+def _bound_rhs(b, m: int) -> Optional[np.ndarray]:
     """Validate the optional right-hand side b of a prepared base.
 
-    Returns b as a float64 vector, or None; x0 makes sense only with b.
+    Returns b as a float64 vector, or None.
     """
     if b is None:
-        if x0 is not None:
-            raise ValueError("x0 supplied without the b it solves for")
         return None
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1 or b.shape[0] != m:
@@ -203,32 +199,7 @@ def _bound_rhs(b, x0, m: int) -> Optional[np.ndarray]:
     return b
 
 
-def _check_x0(a, b, x0) -> np.ndarray:
-    """Validate a supplied base solution x0 against the normal equations."""
-    n = a.shape[1]
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.ndim != 1 or x0.shape[0] != n:
-        raise DimensionMismatch(f"x0 must be a length-{n} vector, got shape {x0.shape}")
-    # Screened before any product with it, which NaN or inf would turn
-    # into a RuntimeWarning ahead of this error.
-    if not np.isfinite(x0).all():
-        raise ValueError(
-            "supplied x0 does not solve the base least squares problem "
-            "(it holds NaN or infinite entries)"
-        )
-    anorm = float(np.linalg.norm(a))
-    resid = float(np.linalg.norm(a.T @ (a @ x0 - b)))
-    bound = NE_TOL * anorm**2 * (np.linalg.norm(x0) + np.linalg.norm(b) / anorm)
-    # NaN compares False, and an overflow makes the bound infinite.
-    if not (resid <= bound < np.inf):
-        raise ValueError(
-            f"supplied x0 does not solve the base least squares problem "
-            f"(normal-equations residual {resid:.3e} > {bound:.3e})"
-        )
-    return x0
-
-
-def prepare(a, b=None, x0=None) -> PreparedBase:
+def prepare(a, b=None) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
     Factors ``[a | b]`` (``a`` alone without b) by Householder QR without
@@ -238,23 +209,21 @@ def prepare(a, b=None, x0=None) -> PreparedBase:
     then two matrix products with the inverse (:func:`ata_solve`).
 
     If ``b`` is given, the base solution ``x0 = R^{-1} (Q.T b)``, with
-    ``Q.T b`` read off the factorization, is computed and bound to it (or,
-    if supplied, validated against the normal equations). A different
-    right-hand side later costs three passes over ``a``
-    (:func:`base_lstsq`).
+    ``Q.T b`` read off the factorization, is computed and bound to it, at
+    the price of one triangular solve. A different right-hand side later
+    costs three passes over ``a`` (:func:`base_lstsq`).
 
     Raises NonFiniteValue when a or b holds NaN or infinity, and
     RankDeficient when a lacks full column rank.
     """
     a = _base_matrix(a)
     m, n = a.shape
-    b = _bound_rhs(b, x0, m)
+    b = _bound_rhs(b, m)
     h = kernels.householder_qr(a, b)
     rinv = _freeze(kernels.invert_upper_triangular(h.r))
+    x0 = None
     if b is not None:
-        x0 = (kernels.solve_upper_triangular(h.r, h.qtb) if x0 is None
-              else _check_x0(a, b, x0))
-        b, x0 = _freeze(b.copy()), _freeze(np.array(x0, dtype=np.float64))
+        b, x0 = _freeze(b.copy()), _freeze(kernels.solve_upper_triangular(h.r, h.qtb))
     return PreparedBase(a=a, m=m, n=n, rinv=rinv, b=b, x0=x0)
 
 
@@ -276,20 +245,23 @@ def ata_solve(base: PreparedBase, c) -> np.ndarray:
 
 
 def base_lstsq(base: PreparedBase, c) -> np.ndarray:
-    """Minimize ``||c - a x||_2`` for any right-hand side c of length m.
+    """Minimize ``||c - a x||_2`` for a right-hand side c of length m, or
+    for each column of an m x k block c.
 
     Runs the corrected seminormal equations (CSNE; Björck 1987, *Stability
     analysis of the method of seminormal equations for linear least squares
     problems*, LAA 88/89): the seminormal solve ``x = (a.T a)^{-1} a.T c``
     through R^{-1}, then one correction step on its residual. Three passes
-    over ``a`` and no Q. The correction is what keeps the error within the
-    least squares sensitivity bound ``kappa eps + kappa^2 eps ||r|| /
-    (||a|| ||x||)``; the seminormal solve alone exceeds it by orders of
-    magnitude on ill-conditioned a.
+    over ``a``, shared by all columns of a block, and no Q. The correction
+    is what keeps the error within the least squares sensitivity bound
+    ``kappa eps + kappa^2 eps ||r|| / (||a|| ||x||)``; the seminormal solve
+    alone exceeds it by orders of magnitude on ill-conditioned a.
     """
     a = base.a
-    x = ata_solve(base, a.T @ c)
-    x += ata_solve(base, a.T @ (c - a @ x))
+    # The skinny operand goes on the left of a (see the module docstring).
+    x = ata_solve(base, (c.T @ a).T)
+    res = c - (x.T @ a.T).T
+    x += ata_solve(base, (res.T @ a).T)
     return x
 
 
@@ -327,6 +299,24 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
     )
 
 
+def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
+           b: np.ndarray) -> np.ndarray:
+    """The update solve for a length-m vector b or an m x k block b.
+
+    ``np.array_equal`` compares shapes, so a block never matches the bound
+    vector b and each of its columns takes :func:`base_lstsq`.
+    """
+    if base.x0 is not None and np.array_equal(b, base.b):
+        x0 = base.x0
+    else:
+        # The bound b was screened by prepare; any other b is screened here,
+        # beside the pass over the base that its solve costs anyway.
+        _require_finite(b, "b")
+        x0 = base_lstsq(base, b)
+    w = x0 + ws.z[:, : ws.rank] @ (upd.u.T @ b)
+    return w - ws.z @ kernels.lu_apply(ws.cap_factors, ws.yt @ w)
+
+
 def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
                   b, check_residual: bool = False) -> SolveOutcome:
     """Minimize ``||b - (a + u v.T) x||_2`` using the prepared state.
@@ -352,15 +342,7 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
         raise DimensionMismatch(
             f"b must be a length-{base.m} vector, got shape {b.shape}"
         )
-    if base.x0 is not None and base.b is not None and np.array_equal(b, base.b):
-        x0 = base.x0
-    else:
-        # The bound b was screened by prepare; any other b is screened here,
-        # beside the pass over the base that its solve costs anyway.
-        _require_finite(b, "b")
-        x0 = base_lstsq(base, b)
-    w = x0 + ws.z[:, : ws.rank] @ (upd.u.T @ b)
-    x = w - ws.z @ kernels.lu_apply(ws.cap_factors, ws.yt @ w)
+    x = _solve(base, upd, ws, b)
     ne = updated_normal_residual(base.a, upd.u, upd.v, x, b) if check_residual else None
     return SolveOutcome(x=x, cap_rcond=ws.cap_rcond, ne_residual=ne)
 
@@ -369,11 +351,16 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
                bs) -> np.ndarray:
     """Solve the updated problem for every column of ``bs`` (m x k).
 
-    The workspace (z and the factored capacitance) is shared across all k
-    columns; only the k base solves and O(r)-sized work scale with k.
-    Column j of the result is exactly (bitwise) what ``solve_updated``
-    returns on ``bs[:, j]``, because each column runs the identical
-    per-column path.
+    Runs the solve of :func:`solve_updated` once on the whole block: the
+    base solves are matrix products whose three passes over ``a`` all k
+    columns share, and the correction is O(r)-sized per column. Every
+    column, including one equal to the bound right-hand side, takes the
+    base solve of :func:`base_lstsq`, so column j agrees with what
+    ``solve_updated`` returns on ``bs[:, j]`` to roundoff (within 1e-13
+    relative on well-conditioned instances), and the result is the same
+    bits from run to run.
+
+    Raises NonFiniteValue when any column holds NaN or infinity.
     """
     bs = np.asarray(bs, dtype=np.float64)
     if bs.ndim != 2 or bs.shape[0] != base.m:
@@ -382,18 +369,17 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
         )
     if bs.shape[1] < 1:
         raise DimensionMismatch("bs must have at least one column")
-    cols = [solve_updated(base, upd, ws, bs[:, j]).x for j in range(bs.shape[1])]
-    return np.column_stack(cols)
+    return _solve(base, upd, ws, bs)
 
 
 def pinv_update_explicit(a, u, v) -> np.ndarray:
     """Explicit n x m pseudoinverse of ``a + u @ v.T`` via the update path.
 
     Column j of the pseudoinverse is the updated least squares solution for
-    the unit vector ``e_j``, so this is ``solve_many`` on the m x m identity.
-    It costs m base solves and materializes dense m x m and n x m matrices,
-    so it is meant for validation at modest sizes (roughly m <= 500), not
-    for solving.
+    the unit vector ``e_j``, so this is one ``solve_many`` call on the m x m
+    identity. It materializes dense m x m and n x m matrices, so it is
+    meant for validation at modest sizes (roughly m <= 500), not for
+    solving.
 
     Raises RankDeficient (base rank-deficient) or SingularCapacitance
     (update kills full rank).

@@ -34,14 +34,6 @@ def test_solve_worked_instance(worked_instance):
     np.testing.assert_allclose(x, [[4.0], [4.0]], atol=1e-14)
 
 
-def test_solve_with_precomputed_x0(worked_instance, tmp_path):
-    x0_path = str(tmp_path / "x0.mtx")
-    write_matrix(x0_path, np.array([3.0, 4.0]))
-    assert cli_main(_solve_args(worked_instance, "--x0", x0_path)) == 0
-    np.testing.assert_allclose(read_matrix(worked_instance["out"]),
-                               [[4.0], [4.0]], atol=1e-14)
-
-
 def test_missing_flag_is_usage_error(capsys):
     rc = cli_main(["solve", "--a", "a.mtx"])
     assert rc == 2
@@ -53,9 +45,12 @@ def test_unknown_subcommand_is_usage_error():
 
 
 def test_backend_flag_is_usage_error(worked_instance, capsys):
-    # The one base solver is the factored one; the CG backend is gone.
+    # The one base solver is the factored one; the CG backend is gone, and
+    # prepare computes the base solution itself, so there is no --x0.
     assert cli_main(_solve_args(worked_instance, "--backend", "cg")) == 2
     assert "--backend" in capsys.readouterr().err
+    assert cli_main(_solve_args(worked_instance, "--x0", worked_instance["b"])) == 2
+    assert "--x0" in capsys.readouterr().err
 
 
 def test_rank_deficient_maps_to_exit_4(worked_instance, tmp_path, capsys):

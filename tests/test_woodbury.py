@@ -9,6 +9,7 @@ import scipy.linalg
 from conftest import draw_family, draw_instance, rank_drop_instance
 from oracles import numerical_rank, pinv_oracle
 from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
+from lrlsq import woodbury
 from lrlsq.kernels import qr_thin, solve_upper_triangular
 from lrlsq.woodbury import (
     LowRankUpdate,
@@ -66,38 +67,6 @@ def test_prepare_normal_equations_invariant():
     anorm = np.linalg.norm(a)
     resid = np.linalg.norm(a.T @ (a @ base.x0 - b))
     assert resid <= 1e-10 * anorm**2 * (np.linalg.norm(base.x0) + np.linalg.norm(b) / anorm)
-
-
-def test_prepare_accepts_valid_supplied_x0():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((20, 5))
-    b = rng.standard_normal(20)
-    x0 = prepare(a, b).x0
-    base = prepare(a, b, x0=x0)
-    np.testing.assert_array_equal(base.x0, x0)
-
-
-def test_prepare_rejects_bogus_x0():
-    rng = np.random.default_rng(12)
-    a = rng.standard_normal((20, 5))
-    b = rng.standard_normal(20)
-    with pytest.raises(ValueError):
-        prepare(a, b, x0=np.ones(5) * 100.0)
-    with pytest.raises(ValueError):
-        prepare(a, x0=np.ones(5))  # x0 without b
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_prepare_rejects_non_finite_x0(bad):
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((20, 5))
-    b = rng.standard_normal(20)
-    x0 = prepare(a, b).x0.copy()
-    x0[2] = bad
-    with pytest.raises(ValueError, match="does not solve"):
-        prepare(a, b, x0=x0)
-    with pytest.raises(ValueError, match="does not solve"):
-        prepare(a, b, x0=np.full(5, bad))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -458,9 +427,12 @@ def test_workspace_arrays_frozen():
 # -------------------------------------------------------------- solve_many
 
 def test_solve_many_single_column_bitwise():
+    # A block column takes the base solve even when it equals the bound b,
+    # so it matches solve_updated to roundoff and itself bitwise.
     out, base, upd, ws = _solve(A32, B32, U32, V32)
     got = solve_many(base, upd, ws, B32[:, None])
-    assert np.array_equal(got[:, 0], out.x)
+    assert np.linalg.norm(got[:, 0] - out.x) <= 1e-13 * np.linalg.norm(out.x)
+    assert np.array_equal(solve_many(base, upd, ws, B32[:, None]), got)
 
 
 def test_solve_many_duplicate_rhs():
@@ -481,13 +453,32 @@ def test_solve_many_matches_baseline():
 
 
 def test_solve_many_bitwise_equals_solve_updated():
+    # Within roundoff of solve_updated column by column, and the same bits
+    # from one call to the next.
     rng = np.random.default_rng(22)
     a, b, u, v, base, ws = draw_instance(rng, 40, 10, 2)
     upd = LowRankUpdate(u, v)
     bs = rng.standard_normal((40, 5))
     got = solve_many(base, upd, ws, bs)
     for j in range(5):
-        assert np.array_equal(got[:, j], solve_updated(base, upd, ws, bs[:, j]).x)
+        x = solve_updated(base, upd, ws, bs[:, j]).x
+        assert np.linalg.norm(got[:, j] - x) <= 1e-13 * np.linalg.norm(x)
+    assert np.array_equal(solve_many(base, upd, ws, bs), got)
+
+
+def test_solve_many_runs_one_base_solve_per_block(monkeypatch):
+    rng = np.random.default_rng(27)
+    a, b, u, v, base, ws = draw_instance(rng, 40, 10, 2)
+    upd = LowRankUpdate(u, v)
+    calls = []
+
+    def counting_base_lstsq(base, c):
+        calls.append(np.shape(c))
+        return base_lstsq(base, c)
+
+    monkeypatch.setattr(woodbury, "base_lstsq", counting_base_lstsq)
+    solve_many(base, upd, ws, rng.standard_normal((40, 5)))
+    assert calls == [(40, 5)]
 
 
 def test_solve_many_rejects_empty():
