@@ -6,9 +6,10 @@ and scipy). On-disk exchange is column-major (see ``lrlsq.mio``); in-memory
 stride order is whatever the underlying routine produces (``qr_thin``'s q
 is Fortran-ordered).
 
-The base QR is ``householder_qr``: it factors a, or ``[a | b]``, and
-returns r, ``q.T @ b`` and the Householder reflectors, which is all the
-library needs; it never forms q. ``form_q`` turns the reflectors into q,
+The base QR is ``householder_qr``: it factors a, or ``[a | b]``, with or
+without a rank-r term ``u @ v.T`` added to a, and returns r, ``q.T @ b``
+and the Householder reflectors, which is all the library needs; it never
+forms q. ``form_q`` turns the reflectors into q,
 in place, and ``qr_thin`` is the two in sequence. Those two, with
 ``QRFactors``, are kept only for tests and for the benchmark's
 ``kernels.qr_thin`` layer.
@@ -42,6 +43,10 @@ EPS = float(np.finfo(np.float64).eps)
 # Rows of a per block of the transposed copy in ``householder_qr``; a
 # 256 x n block of a and its n x 256 image stay in the caches together.
 COPY_BLOCK = 256
+
+# Columns at which ``invert_upper_triangular`` stops splitting and hands a
+# diagonal block to ``np.linalg.inv``.
+INVERT_LEAF = 64
 
 
 class QRFactors(NamedTuple):
@@ -92,16 +97,21 @@ def _lapack_lite(routine, *args) -> None:
     routine(*args, work, work.size, 0)
 
 
-def householder_qr(a, b=None) -> Householder:
+def householder_qr(a, b=None, u=None, v=None) -> Householder:
     """Factor a tall full-column-rank a, or ``[a | b]``, without forming q.
 
     Copies a (and b) once into Fortran order, block by block, and runs
     LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``, in
     numpy's BLAS pool: scipy's pool, once woken by a multi-threaded
     factorization, keeps spinning and slows numpy's next product over a
-    matrix (see the README's performance note). Neither a nor b is
+    matrix (see the README's performance note). None of a, b, u, v is
     modified. Signs are then normalized so every diagonal entry of r is
     nonnegative, which makes factors reproducible across LAPACK builds.
+
+    With a rank-r term (u, v) the factored matrix is ``a + u @ v.T``:
+    each block of it is written straight into the Fortran-ordered buffer,
+    ``v @ u[i:j].T`` by BLAS and then a's block added in place, so no
+    m x n array but that buffer is made.
 
     With b, this is Golub's Householder least squares method: the
     reflectors that triangularize a also carry b, so the top n entries of
@@ -115,24 +125,35 @@ def householder_qr(a, b=None) -> Householder:
     b : (m,) array, optional. A NaN or infinity in b shows in qtb only
         where a reflector carries it there, so a caller that cannot rule
         them out screens b itself.
+    u, v : (m, r) and (n, r) arrays, optional, given together.
 
     Raises
     ------
     NonFiniteValue
         If r or qtb is not finite. Householder QR carries any NaN or
-        infinity of a into r, so this tests the n x n factor instead of
-        making a pass over a.
+        infinity of a (or of u and v) into r, so this tests the n x n
+        factor instead of making a pass over a.
     RankDeficient
         If a is numerically rank-deficient: some
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual
         backward-stable threshold.
     DimensionMismatch
-        If a is not 2-D or has m < n, or b is not a length-m vector.
+        If a is not 2-D or has m < n, b is not a length-m vector, or u and
+        v are not 2-D, do not conform with a or differ in column count.
     """
     a = _as_2d(a, "a")
     m, n = a.shape
     if m < n:
         raise DimensionMismatch(f"QR requires m >= n, got shape {a.shape}")
+    if (u is None) != (v is None):
+        raise DimensionMismatch("u and v must be given together")
+    if u is not None:
+        u, v = _as_2d(u, "u"), _as_2d(v, "v")
+        if u.shape[0] != m or v.shape[0] != n or u.shape[1] != v.shape[1]:
+            raise DimensionMismatch(
+                f"update of shapes u={u.shape}, v={v.shape} does not conform "
+                f"with a of shape {a.shape}"
+            )
     cols = n
     if b is not None:
         b = np.asarray(b, dtype=np.float64)
@@ -142,7 +163,12 @@ def householder_qr(a, b=None) -> Householder:
     # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
     qt = np.empty((cols, m))
     for i in range(0, m, COPY_BLOCK):
-        qt[:n, i:i + COPY_BLOCK] = a[i:i + COPY_BLOCK].T
+        dst = qt[:n, i:i + COPY_BLOCK]
+        if u is None:
+            dst[...] = a[i:i + COPY_BLOCK].T
+        else:
+            np.matmul(v, u[i:i + COPY_BLOCK].T, out=dst)
+            dst += a[i:i + COPY_BLOCK].T
     if b is not None:
         qt[n] = b
     tau = np.empty(min(m, cols))
@@ -152,7 +178,8 @@ def householder_qr(a, b=None) -> Householder:
     # All of r, not just its diagonal: an entry above the diagonal stays
     # there when the columns to its left need no reflection.
     if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
-        what = "matrix" if b is None else "[a | b]"
+        what = "a" if u is None else "a + u v.T"
+        what = what if b is None else f"[{what} | b]"
         raise NonFiniteValue(f"{what} of shape ({m}, {cols}) contains NaN or infinite entries")
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     r *= sign[:, None]
@@ -226,12 +253,21 @@ def solve_upper_triangular(r, b, transpose: bool = False) -> np.ndarray:
 
 
 def invert_upper_triangular(r) -> np.ndarray:
-    """Inverse of an upper-triangular r, via LAPACK trtri.
+    """Inverse of an upper-triangular r, by recursive 2 x 2 blocking.
+
+    With ``r = [[R11, R12], [0, R22]]`` the inverse is
+    ``[[X11, -(X11 @ R12) @ X22], [0, X22]]`` for ``Xii = Rii^{-1}``; the
+    diagonal blocks recurse down to ``INVERT_LEAF`` columns, where
+    ``np.linalg.inv`` takes over. Every step runs in numpy's BLAS pool:
+    LAPACK trtri through scipy would wake scipy's pool, whose spinning
+    workers slow numpy's next products over a (see the README's
+    performance note). About 2n^3 / 3 flops, all but the leaves in gemm,
+    so it runs as fast as trtri's n^3 / 3; worth it when r is solved
+    against many times.
 
     Only the upper triangle of r is read, as in ``solve_upper_triangular``.
     The result is upper triangular and C-contiguous, so that products
     ``c @ inv`` with a skinny row-major c run in BLAS's fast orientation.
-    Costs about n^3 / 3 flops; worth it when r is solved against many times.
 
     Raises SingularMatrix if r has a zero diagonal entry.
     """
@@ -239,15 +275,31 @@ def invert_upper_triangular(r) -> np.ndarray:
     n = r.shape[0]
     if r.shape[1] != n:
         raise DimensionMismatch(f"r must be square, got shape {r.shape}")
-    if n == 0:  # trtri rejects a zero leading dimension
-        return np.zeros((0, 0))
-    inv, info = scipy.linalg.lapack.dtrtri(r, lower=0)
-    if info > 0:
+    zero = np.flatnonzero(np.diag(r) == 0.0)
+    if zero.size:
         raise SingularMatrix(
-            f"triangular factor has a zero diagonal entry at index {info - 1}"
+            f"triangular factor has a zero diagonal entry at index {zero[0]}"
         )
-    # trtri leaves the strictly lower part of its input in place.
-    return np.triu(inv)
+    inv = np.zeros((n, n))
+    _invert_upper(np.triu(r), inv)
+    return inv
+
+
+def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the upper-triangular r into out, a zeroed
+    array of r's shape; blocks below the diagonal are not written."""
+    n = r.shape[0]
+    if n <= INVERT_LEAF:
+        # Partial pivoting never swaps rows of a triangular matrix, so
+        # this is back substitution on the identity.
+        out[...] = np.triu(np.linalg.inv(r))
+        return
+    k = n // 2
+    _invert_upper(r[:k, :k], out[:k, :k])
+    _invert_upper(r[k:, k:], out[k:, k:])
+    t = out[:k, :k] @ r[:k, k:]
+    t *= -1.0
+    np.matmul(t, out[k:, k:], out=out[:k, k:])
 
 
 def lu_factor_checked(c):

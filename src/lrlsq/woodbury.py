@@ -203,7 +203,7 @@ def prepare(a, b=None) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
     Factors ``[a | b]`` (``a`` alone without b) by Householder QR without
-    forming Q, inverts R once (about n^3 / 3 flops beside the QR's
+    forming Q, inverts R once (about 2 n^3 / 3 flops beside the QR's
     2 m n^2) and keeps only that inverse; the factorization itself is
     released before this returns. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is
     then two matrix products with the inverse (:func:`ata_solve`).
@@ -393,19 +393,19 @@ def pinv_update_explicit(a, u, v) -> np.ndarray:
 def baseline_solve(a, u, v, b) -> np.ndarray:
     """From-scratch QR solve of ``min ||b - (a + u v.T) x||_2``.
 
-    Assembles the updated matrix, factors ``[a + u v.T | b]`` by Householder
-    QR without forming Q, and back-substitutes on ``Q.T b``. This is the
-    correctness oracle and the timing baseline the update path is measured
-    against.
+    Factors ``[a + u v.T | b]`` by Householder QR without forming Q and
+    back-substitutes on ``Q.T b``. ``kernels.householder_qr`` writes
+    ``a + u v.T`` block by block straight into its factorization buffer,
+    so the updated matrix is never formed on its own and the solve holds
+    one m x n array. This is the correctness oracle and the timing
+    baseline the update path is measured against.
 
     Raises NonFiniteValue when a, u, v or b holds NaN or infinity (for a,
-    u and v through ``householder_qr``'s test of the factor), and RankDeficient
-    when ``a + u v.T`` lacks full column rank.
+    u and v through ``householder_qr``'s test of the factor), RankDeficient
+    when ``a + u v.T`` lacks full column rank, and DimensionMismatch when
+    a, u, v and b do not conform.
     """
-    a = np.asarray(a, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     _require_finite(b, "b")
-    h = kernels.householder_qr(a + u @ v.T, b)
+    h = kernels.householder_qr(a, b, u, v)
     return kernels.solve_upper_triangular(h.r, h.qtb)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -129,11 +130,51 @@ def test_householder_qr_leaves_input_untouched(order):
     a = np.array(rng.standard_normal((30, 7)), order=order)
     a[:, 0] *= -1.0
     b = rng.standard_normal(30)
-    keep_a, keep_b = a.copy(order="K"), b.copy()
-    h = householder_qr(a, b)
-    np.testing.assert_array_equal(a, keep_a)
-    np.testing.assert_array_equal(b, keep_b)
-    assert all(not np.shares_memory(x, y) for x in h for y in (a, b))
+    u = np.array(rng.standard_normal((30, 2)), order=order)
+    v = np.array(rng.standard_normal((7, 2)), order=order)
+    inputs = (a, b, u, v)
+    keep = [x.copy(order="K") for x in inputs]
+    for h in (householder_qr(a, b), householder_qr(a, b, u, v)):
+        for x, x0 in zip(inputs, keep):
+            np.testing.assert_array_equal(x, x0)
+        assert all(not np.shares_memory(x, y) for x in h for y in inputs)
+
+
+@pytest.mark.parametrize("with_b", [True, False])
+def test_householder_qr_rank_term_matches_explicit_sum(with_b):
+    # m > 2 * COPY_BLOCK with a partial last block: every block of
+    # a + u v.T written into the buffer, the short one included.
+    rng = np.random.default_rng(10)
+    m, n, r = 2 * COPY_BLOCK + 37, 9, 3
+    a = rng.standard_normal((m, n))
+    u = rng.standard_normal((m, r))
+    v = rng.standard_normal((n, r))
+    b = rng.standard_normal(m) if with_b else None
+    h = householder_qr(a, b, u, v)
+    ref = householder_qr(a + u @ v.T, b)
+    assert np.linalg.norm(h.r - ref.r) <= 1e-14 * np.linalg.norm(ref.r)
+    if with_b:
+        assert np.linalg.norm(h.qtb - ref.qtb) <= 1e-14 * np.linalg.norm(ref.qtb)
+    else:
+        assert h.qtb is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_householder_qr_non_finite_rank_term(name, bad):
+    rng = np.random.default_rng(11)
+    args = {"u": rng.standard_normal((20, 2)), "v": rng.standard_normal((4, 2))}
+    args[name][1, 1] = bad
+    with pytest.raises(NonFiniteValue, match=r"a \+ u v\.T"):
+        householder_qr(rng.standard_normal((20, 4)), **args)
+
+
+def test_householder_qr_rejects_half_a_rank_term():
+    # Shapes of a whole (u, v) are checked through baseline_solve.
+    with pytest.raises(DimensionMismatch):
+        householder_qr(np.ones((20, 4)), None, np.ones((20, 2)))
+    with pytest.raises(DimensionMismatch):
+        householder_qr(np.ones((20, 4)), None, None, np.ones((4, 2)))
 
 
 def test_householder_qr_least_squares_hand_checked():
@@ -240,6 +281,21 @@ def test_invert_upper_triangular_residual_random():
     r = np.triu(rng.standard_normal((8, 8))) + 4.0 * np.eye(8)
     inv = invert_upper_triangular(r)
     assert np.linalg.norm(r @ inv - np.eye(8)) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(inv)
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+def test_invert_upper_triangular_matches_trtri_on_graded_r(cond):
+    # n = 300 splits three times before the leaves; R of a graded matrix,
+    # log-spaced singular values from 1 to 1/cond.
+    rng = np.random.default_rng(12)
+    n = 300
+    p, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    r = householder_qr((p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T).r
+    inv = invert_upper_triangular(r)
+    ref = np.triu(scipy.linalg.lapack.dtrtri(r)[0])
+    assert inv.flags.c_contiguous and not np.tril(inv, -1).any()
+    assert np.linalg.norm(inv - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 def test_invert_upper_triangular_zero_diagonal():

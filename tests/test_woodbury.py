@@ -1,6 +1,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,21 @@ def test_update_path_stays_off_scipy_triangular_solves(monkeypatch):
     x = solve_updated(base, upd, ws, b).x
     assert np.linalg.norm(ws.z - z_ref) <= 1e-13 * np.linalg.norm(z_ref)
     assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+
+
+def test_prepare_stays_off_scipy_trtri(monkeypatch):
+    # Inverting R with scipy's trtri wakes scipy's BLAS pool just before
+    # the first products over a with the prepared base.
+    rng = np.random.default_rng(19)
+    a, b, u, v, base_ref, _ = draw_instance(rng, 400, 150, 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scipy.linalg.lapack.dtrtri called")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dtrtri", forbidden)
+    base = prepare(a, b)
+    np.testing.assert_array_equal(base.rinv, base_ref.rinv)
+    np.testing.assert_array_equal(base.x0, base_ref.x0)
 
 
 def test_qr_thin_stays_off_numpy_qr(monkeypatch):
@@ -560,6 +576,42 @@ def test_baseline_detects_rank_drop():
     a, u, v = rank_drop_instance(rng, 14, 6, r=2)
     with pytest.raises(RankDeficient):
         baseline_solve(a, u, v, np.ones(14))
+
+
+@pytest.mark.parametrize("u_shape,v_shape", [
+    ((20,), (5, 2)),      # u not 2-D
+    ((20, 2), (5, 2, 1)),  # v not 2-D
+    ((21, 2), (5, 2)),    # u does not conform with a
+    ((20, 2), (4, 2)),    # v does not conform with a
+    ((20, 2), (5, 3)),    # u and v differ in r
+])
+def test_baseline_rejects_bad_update_shape(u_shape, v_shape):
+    rng = np.random.default_rng(31)
+    with pytest.raises(DimensionMismatch):
+        baseline_solve(rng.standard_normal((20, 5)), rng.standard_normal(u_shape),
+                       rng.standard_normal(v_shape), rng.standard_normal(20))
+
+
+@pytest.mark.parametrize("fn", ["baseline_solve", "prepare"])
+def test_factorization_holds_one_buffer(fn):
+    # tracemalloc sees numpy's buffers. Both factor [. | b] in one
+    # (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
+    # it, with no m x n temporaries of its own.
+    rng = np.random.default_rng(37)
+    m, n = 3000, 100
+    a = rng.standard_normal((m, n))
+    u = rng.standard_normal((m, 10))
+    v = rng.standard_normal((n, 10))
+    b = rng.standard_normal(m)
+    call = {"baseline_solve": lambda: baseline_solve(a, u, v, b),
+            "prepare": lambda: prepare(a, b)}[fn]
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (n + 1) * m * 8
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
