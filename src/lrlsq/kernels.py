@@ -1,10 +1,10 @@
 """Dense real linear algebra kernels.
 
 Matrices are 2-D float64 numpy arrays throughout; vectors are 1-D. The
-functions here are thin, contract-checked fronts over LAPACK/BLAS (via numpy
-and scipy). On-disk exchange is column-major (see ``lrlsq.mio``); in-memory
-stride order is whatever the underlying routine produces (``qr_thin``'s q
-is Fortran-ordered).
+functions here are thin, contract-checked fronts over LAPACK/BLAS, all
+through numpy, so one BLAS thread pool serves them. On-disk exchange is
+column-major (see ``lrlsq.mio``); in-memory stride order is whatever the
+underlying routine produces (``qr_thin``'s q is Fortran-ordered).
 
 The base QR is ``householder_qr``: it factors a, or ``[a | b]``, with or
 without a rank-r term ``u @ v.T`` added to a, and returns r, ``q.T @ b``
@@ -22,11 +22,9 @@ deterministic for a fixed BLAS build and thread count.
 
 from __future__ import annotations
 
-import warnings
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 from numpy.linalg import lapack_lite
 
 from .errors import (
@@ -44,9 +42,9 @@ EPS = float(np.finfo(np.float64).eps)
 # 256 x n block of a and its n x 256 image stay in the caches together.
 COPY_BLOCK = 256
 
-# Columns at which ``invert_upper_triangular`` stops splitting and hands a
-# diagonal block to ``np.linalg.inv``.
-INVERT_LEAF = 64
+# Columns of the largest diagonal block that ``solve_upper_triangular`` and
+# ``invert_upper_triangular`` hand to ``np.linalg.solve`` or ``np.linalg.inv``.
+TRIANGULAR_LEAF = 64
 
 
 class QRFactors(NamedTuple):
@@ -101,12 +99,10 @@ def householder_qr(a, b=None, u=None, v=None) -> Householder:
     """Factor a tall full-column-rank a, or ``[a | b]``, without forming q.
 
     Copies a (and b) once into Fortran order, block by block, and runs
-    LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``, in
-    numpy's BLAS pool: scipy's pool, once woken by a multi-threaded
-    factorization, keeps spinning and slows numpy's next product over a
-    matrix (see the README's performance note). None of a, b, u, v is
-    modified. Signs are then normalized so every diagonal entry of r is
-    nonnegative, which makes factors reproducible across LAPACK builds.
+    LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``. None
+    of a, b, u, v is modified. Signs are then normalized so every diagonal
+    entry of r is nonnegative, which makes factors reproducible across
+    LAPACK builds.
 
     With a rank-r term (u, v) the factored matrix is ``a + u @ v.T``:
     each block of it is written straight into the Fortran-ordered buffer,
@@ -226,12 +222,16 @@ def qr_thin(a) -> QRFactors:
     return QRFactors(q=form_q(h), r=h.r)
 
 
-def solve_upper_triangular(r, b, transpose: bool = False) -> np.ndarray:
-    """Solve ``r @ x = b`` (or ``r.T @ x = b``) for upper-triangular r.
+def solve_upper_triangular(r, b) -> np.ndarray:
+    """Solve ``r @ x = b`` for upper-triangular r by blocked back substitution.
 
-    Back substitution via BLAS trsm; the transpose flag switches to forward
-    substitution on r.T. b may be a vector or a matrix of stacked
-    right-hand-side columns; the result has the same ndim.
+    From the bottom block up, each diagonal block of at most
+    ``TRIANGULAR_LEAF`` columns goes to ``np.linalg.solve`` (partial
+    pivoting never swaps rows of a triangular matrix, so this is back
+    substitution), and one product takes the block's part out of the rows
+    above it. b may be a vector or a matrix of stacked right-hand-side
+    columns; the result has the same ndim. Only the upper triangle of r is
+    read.
 
     Raises SingularMatrix if r has a zero diagonal entry. Near-zero
     diagonals are the caller's concern (``householder_qr`` screens for them).
@@ -240,16 +240,18 @@ def solve_upper_triangular(r, b, transpose: bool = False) -> np.ndarray:
     n = r.shape[0]
     if r.shape[1] != n:
         raise DimensionMismatch(f"r must be square, got shape {r.shape}")
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != n:
+    x = np.array(b, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != n:
         raise DimensionMismatch(
-            f"right-hand side of shape {b.shape} does not conform with r of shape {r.shape}"
+            f"right-hand side of shape {x.shape} does not conform with r of shape {r.shape}"
         )
     if n > 0 and np.any(np.diag(r) == 0.0):
         raise SingularMatrix("triangular factor has a zero diagonal entry")
-    return scipy.linalg.solve_triangular(
-        r, b, trans="T" if transpose else "N", lower=False, check_finite=False
-    )
+    for j in reversed(range(0, n, TRIANGULAR_LEAF)):
+        k = min(j + TRIANGULAR_LEAF, n)
+        x[j:k] = np.linalg.solve(np.triu(r[j:k, j:k]), x[j:k])
+        x[:j] -= r[:j, j:k] @ x[j:k]
+    return x
 
 
 def invert_upper_triangular(r) -> np.ndarray:
@@ -257,13 +259,10 @@ def invert_upper_triangular(r) -> np.ndarray:
 
     With ``r = [[R11, R12], [0, R22]]`` the inverse is
     ``[[X11, -(X11 @ R12) @ X22], [0, X22]]`` for ``Xii = Rii^{-1}``; the
-    diagonal blocks recurse down to ``INVERT_LEAF`` columns, where
-    ``np.linalg.inv`` takes over. Every step runs in numpy's BLAS pool:
-    LAPACK trtri through scipy would wake scipy's pool, whose spinning
-    workers slow numpy's next products over a (see the README's
-    performance note). About 2n^3 / 3 flops, all but the leaves in gemm,
-    so it runs as fast as trtri's n^3 / 3; worth it when r is solved
-    against many times.
+    diagonal blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
+    ``np.linalg.inv`` takes over. About 2n^3 / 3 flops, all but the
+    leaves in gemm, so it runs as fast as trtri's n^3 / 3; worth it when r
+    is solved against many times.
 
     Only the upper triangle of r is read, as in ``solve_upper_triangular``.
     The result is upper triangular and C-contiguous, so that products
@@ -289,7 +288,7 @@ def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
     """Write the inverse of the upper-triangular r into out, a zeroed
     array of r's shape; blocks below the diagonal are not written."""
     n = r.shape[0]
-    if n <= INVERT_LEAF:
+    if n <= TRIANGULAR_LEAF:
         # Partial pivoting never swaps rows of a triangular matrix, so
         # this is back substitution on the identity.
         out[...] = np.triu(np.linalg.inv(r))
@@ -302,15 +301,15 @@ def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
     np.matmul(t, out[k:, k:], out=out[:k, k:])
 
 
-def lu_factor_checked(c):
-    """LU-factor a small square matrix and estimate its conditioning.
+def lu_factor_checked(c) -> float:
+    """The exact 1-norm reciprocal condition number of a small square c.
 
-    Returns ``(factors, rcond)`` where ``factors`` feeds ``lu_apply`` and
-    ``rcond`` is a 1-norm reciprocal condition estimate in (0, 1].
+    Returns ``rcond = 1 / cond_1(c)``, which numpy computes from an LU
+    factorization of c with partial pivoting.
 
-    Raises SingularCapacitance when the smallest pivot of the p x p system
-    falls at or below ``p * eps * max|c|``: the system cannot be solved
-    reliably.
+    Raises SingularCapacitance unless ``rcond > p * eps`` for the p x p
+    system, a test that a NaN or infinite c fails too: the system cannot be
+    solved reliably.
     """
     c = _as_2d(c, "c")
     p = c.shape[0]
@@ -318,31 +317,9 @@ def lu_factor_checked(c):
         raise DimensionMismatch(f"c must be square, got shape {c.shape}")
     if p == 0:
         raise DimensionMismatch("c must be nonempty")
-    cmax = float(np.abs(c).max())
-    anorm = float(np.abs(c).sum(axis=0).max())
-    with warnings.catch_warnings():
-        # Exact singularity is our own error condition, reported below.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(c, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if pivots.min() <= p * EPS * cmax:
+    rcond = float(1.0 / np.linalg.cond(c, 1))
+    if not rcond > p * EPS:
         raise SingularCapacitance(
-            f"{p} x {p} system is singular or near-singular "
-            f"(min pivot {pivots.min():.3e}, max entry {cmax:.3e})"
+            f"{p} x {p} system is singular or near-singular (rcond {rcond:.3e})"
         )
-    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
-    if info != 0:  # pragma: no cover - dgecon fails only on a NaN or infinite c
-        raise SingularCapacitance("condition estimation failed")
-    return (lu, piv), float(rcond)
-
-
-def lu_apply(factors, b) -> np.ndarray:
-    """Solve against a factorization from ``lu_factor_checked``."""
-    lu, piv = factors
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape[0] != lu.shape[0]:
-        raise DimensionMismatch(
-            f"right-hand side of shape {b.shape} does not conform with "
-            f"factored system of order {lu.shape[0]}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return rcond

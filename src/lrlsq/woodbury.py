@@ -15,7 +15,7 @@ matrix is ``a.T a + x_blk @ yt``, so its inverse is a rank-2r correction of
 equivalent to the updated matrix losing full column rank, which is how the
 solver detects and rejects rank-dropping updates. The n x n correction is
 never materialized; ``prepare``/``build_workspace``/``solve_updated`` carry
-only z (n x 2r), yt (2r x n) and the factored 2r x 2r capacitance.
+only z (n x 2r), yt (2r x n) and the 2r x 2r capacitance.
 
 ``prepare`` factors ``[a | b]`` by Householder QR, inverts R once and
 keeps only that inverse: Q and the Householder reflectors are dropped
@@ -27,13 +27,10 @@ One solve body serves a vector b and an m x k block, so the k columns of
 a block share every pass over ``a``.
 
 ``z`` then costs two n x n by n x 2r products instead of two triangular
-solves, so the update path does all of its level-3 work through numpy's
-BLAS: scipy bundles a second OpenBLAS whose thread pool, once woken by a
-multi-column triangular solve, keeps spinning and slows numpy's next
-product over ``a`` (see the README's performance note). Skinny products
-are written with the skinny operand on the left, ``u.T @ a`` rather than
-``a.T @ u`` and ``(c.T @ a).T`` rather than ``a.T @ c``, which is the
-faster layout for C-ordered ``a``.
+solves. Skinny products are written with the skinny operand on the left,
+``u.T @ a`` rather than ``a.T @ u`` and ``(c.T @ a).T`` rather than
+``a.T @ c``, which is the faster layout for C-ordered ``a``: 2x-3x in
+OpenBLAS (see the README's performance note).
 
 Every record here is immutable after construction, with no lazily built
 state, and the solve path is pure: one PreparedBase may serve many
@@ -124,14 +121,14 @@ class UpdateWorkspace:
             matrix.
     z     : n x 2r solution of ``(a.T a) z = x_blk``; its first r columns
             are ``(a.T a)^{-1} v``, reused by the solve step.
-    cap_factors, cap_rcond : LU factorization and reciprocal condition
-            estimate of the 2r x 2r capacitance ``I + yt @ z``.
+    cap   : the 2r x 2r capacitance ``I + yt @ z``; read-only.
+    cap_rcond : its 1-norm reciprocal condition number.
     """
 
     x_blk: np.ndarray
     yt: np.ndarray
     z: np.ndarray
-    cap_factors: tuple
+    cap: np.ndarray
     cap_rcond: float
     rank: int
 
@@ -273,8 +270,9 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
     an O(mn) solve.
 
     Raises SingularCapacitance when ``I + yt @ z`` is singular or its
-    estimated rcond falls below ``2r * eps * CAP_GUARD``, the signature of
-    an update that destroys full column rank.
+    rcond falls below ``2r * eps * CAP_GUARD``, the signature of an update
+    that destroys full column rank, and NonFiniteValue when the capacitance
+    overflows, as it does for a finite update far larger than a.
     """
     u, v, r = upd.u, upd.v, upd.rank
     if u.shape[0] != base.m or v.shape[0] != base.n:
@@ -282,12 +280,18 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
             f"update of shapes u={u.shape}, v={v.shape} does not conform "
             f"with base of shape ({base.m}, {base.n})"
         )
-    uta = u.T @ base.a
-    x_blk = np.hstack([v, uta.T])
-    yt = np.vstack([uta + (u.T @ u) @ v.T, v.T])
-    z = ata_solve(base, x_blk)
-    cap = np.eye(2 * r) + yt @ z
-    cap_factors, cap_rcond = kernels.lu_factor_checked(cap)
+    with np.errstate(over="ignore", invalid="ignore"):
+        uta = u.T @ base.a
+        x_blk = np.hstack([v, uta.T])
+        yt = np.vstack([uta + (u.T @ u) @ v.T, v.T])
+        z = ata_solve(base, x_blk)
+        cap = np.eye(2 * r) + yt @ z
+    if not np.isfinite(cap).all():
+        raise NonFiniteValue(
+            f"{2 * r} x {2 * r} capacitance overflowed: the update u v.T is "
+            "too large relative to a"
+        )
+    cap_rcond = kernels.lu_factor_checked(cap)
     if cap_rcond < 2 * r * EPS * CAP_GUARD:
         raise SingularCapacitance(
             f"capacitance rcond {cap_rcond:.3e} below threshold "
@@ -295,7 +299,7 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
         )
     return UpdateWorkspace(
         x_blk=_freeze(x_blk), yt=_freeze(yt), z=_freeze(z),
-        cap_factors=cap_factors, cap_rcond=cap_rcond, rank=r,
+        cap=_freeze(cap), cap_rcond=cap_rcond, rank=r,
     )
 
 
@@ -314,7 +318,7 @@ def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
         _require_finite(b, "b")
         x0 = base_lstsq(base, b)
     w = x0 + ws.z[:, : ws.rank] @ (upd.u.T @ b)
-    return w - ws.z @ kernels.lu_apply(ws.cap_factors, ws.yt @ w)
+    return w - ws.z @ np.linalg.solve(ws.cap, ws.yt @ w)
 
 
 def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,

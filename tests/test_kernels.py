@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,10 +15,10 @@ from lrlsq.errors import (
 )
 from lrlsq.kernels import (
     COPY_BLOCK,
+    EPS,
     form_q,
     householder_qr,
     invert_upper_triangular,
-    lu_apply,
     lu_factor_checked,
     qr_thin,
     solve_upper_triangular,
@@ -221,12 +223,42 @@ def test_triangular_residual_random():
     assert np.linalg.norm(r @ x - b) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(x)
 
 
-def test_triangular_transpose_forward_substitution():
-    rng = np.random.default_rng(3)
-    r = np.triu(rng.standard_normal((6, 6))) + 4.0 * np.eye(6)
-    b = rng.standard_normal(6)
-    x = solve_upper_triangular(r, b, transpose=True)
-    assert np.linalg.norm(r.T @ x - b) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(x)
+@lru_cache(maxsize=None)
+def _graded_r(n, cond):
+    """R of a graded n x n matrix, singular values log-spaced from 1 to
+    1/cond; read-only, as it is shared between tests."""
+    q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    r = householder_qr(np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T).r
+    r.flags.writeable = False
+    return r
+
+
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 150, 300, 1000])
+def test_triangular_matches_scipy_on_graded_r(n, cond, cols):
+    # n = 63, 64, 65 straddle one diagonal block; 1000 takes sixteen.
+    r = _graded_r(n, cond)
+    b = np.random.default_rng(n + 1).standard_normal(n if cols is None else (n, cols))
+    x = solve_upper_triangular(r, b)
+    ref = scipy.linalg.solve_triangular(r, b)
+    assert x.shape == b.shape
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_triangular_reads_upper_triangle_only():
+    r = np.array(_graded_r(150, 1e6))
+    b = np.random.default_rng(8).standard_normal((150, 3))
+    x = solve_upper_triangular(r, b)
+    r[np.tril_indices(150, -1)] = np.random.default_rng(9).standard_normal(150 * 149 // 2)
+    np.testing.assert_array_equal(solve_upper_triangular(r, b), x)
+
+
+def test_triangular_leaves_b_untouched():
+    b = np.ones(70)
+    x = solve_upper_triangular(_graded_r(70, 1e2), b)
+    np.testing.assert_array_equal(b, np.ones(70))
+    assert not np.shares_memory(x, b)
 
 
 def test_triangular_zero_diagonal():
@@ -248,7 +280,7 @@ def test_two_triangular_solves_invert_normal_matrix():
     a = rng.standard_normal((40, 12))
     c = rng.standard_normal((12, 3))
     f = qr_thin(a)
-    z = solve_upper_triangular(f.r, solve_upper_triangular(f.r, c, transpose=True))
+    z = solve_upper_triangular(f.r, scipy.linalg.solve_triangular(f.r, c, trans="T"))
     ata = a.T @ a
     assert (np.linalg.norm(ata @ z - c)
             <= 1e-10 * np.linalg.norm(ata) * np.linalg.norm(z))
@@ -314,10 +346,7 @@ def test_invert_upper_triangular_dimension_mismatch():
 # ------------------------------------------------------- lu_factor_checked
 
 def test_lu_identity():
-    b = np.arange(6.0).reshape(3, 2)
-    factors, rcond = lu_factor_checked(np.eye(3))
-    np.testing.assert_array_equal(lu_apply(factors, b), b)
-    assert rcond == pytest.approx(1.0)
+    assert lu_factor_checked(np.eye(3)) == pytest.approx(1.0)
 
 
 def test_lu_zero_matrix():
@@ -328,19 +357,33 @@ def test_lu_zero_matrix():
 def test_lu_diagonally_dominant_residual():
     rng = np.random.default_rng(5)
     c = rng.standard_normal((4, 4)) + 8.0 * np.eye(4)
-    b = rng.standard_normal((4, 2))
-    factors, rcond = lu_factor_checked(c)
-    x = lu_apply(factors, b)
-    assert np.linalg.norm(c @ x - b) <= 1e-12 * np.linalg.norm(c) * np.linalg.norm(x)
+    rcond = lu_factor_checked(c)
+    ref = 1.0 / (np.abs(c).sum(axis=0).max() * np.abs(scipy.linalg.inv(c)).sum(axis=0).max())
+    assert rcond == pytest.approx(ref, rel=1e-12)
     assert 0.0 < rcond <= 1.0
+
+
+def test_lu_near_singular_two_by_two():
+    # rcond of [[1, 1], [1, 1 + d]] is about d / 4: accepted at d = 1e-12,
+    # rejected below 2 eps.
+    assert lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])) > 0.0
+    with pytest.raises(SingularCapacitance):
+        lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0 + 2 * EPS]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lu_non_finite(bad):
+    c = np.eye(3)
+    c[1, 2] = bad
+    with pytest.raises(SingularCapacitance):
+        lu_factor_checked(c)
 
 
 def test_lu_dimension_checks():
     with pytest.raises(DimensionMismatch):
         lu_factor_checked(np.zeros((2, 3)))
-    factors, _ = lu_factor_checked(np.eye(2))
     with pytest.raises(DimensionMismatch):
-        lu_apply(factors, np.ones(3))
+        lu_factor_checked(np.zeros((0, 0)))
 
 
 # ------------------------------------------------------------- pinv_oracle

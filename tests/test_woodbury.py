@@ -133,6 +133,16 @@ def test_workspace_rank_drop_fixture():
         build_workspace(base, upd)
 
 
+@pytest.mark.parametrize("scale", [1e150, 1e300])
+def test_workspace_overflow_names_its_cause(scale):
+    # A finite update this large overflows the capacitance. The error says
+    # so, and no overflow RuntimeWarning escapes (pytest makes one an error).
+    rng = np.random.default_rng(21)
+    a, b, u, v, base, _ = draw_instance(rng, 40, 6, 2)
+    with pytest.raises(NonFiniteValue, match="capacitance overflowed"):
+        build_workspace(base, LowRankUpdate(scale * u, v))
+
+
 def test_workspace_solves_block_system():
     rng = np.random.default_rng(15)
     a, b, u, v, base, ws = draw_instance(rng, 20, 6, 2)
@@ -162,7 +172,7 @@ def _update_by_triangular_solves(a, b, u, v):
     atu = a.T @ u
     x_blk = np.hstack([v, atu])
     yt = np.vstack([atu.T + (u.T @ u) @ v.T, v.T])
-    z = solve_upper_triangular(f.r, solve_upper_triangular(f.r, x_blk, transpose=True))
+    z = solve_upper_triangular(f.r, scipy.linalg.solve_triangular(f.r, x_blk, trans="T"))
     x0 = solve_upper_triangular(f.r, f.q.T @ b)
     w = x0 + z[:, : u.shape[1]] @ (u.T @ b)
     x = w - z @ np.linalg.solve(np.eye(yt.shape[0]) + yt @ z, yt @ w)
@@ -438,6 +448,8 @@ def test_workspace_arrays_frozen():
     _, base, upd, ws = _solve(A32, B32, U32, V32)
     with pytest.raises(ValueError):
         ws.z[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ws.cap[0, 0] = 1.0
 
 
 # -------------------------------------------------------------- solve_many
