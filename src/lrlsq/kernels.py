@@ -6,11 +6,18 @@ through numpy, so one BLAS thread pool serves them. On-disk exchange is
 column-major (see ``lrlsq.mio``); in-memory stride order is whatever the
 underlying routine produces (``qr_thin``'s q is Fortran-ordered).
 
-The base QR is ``householder_qr``: it factors a, or ``[a | b]``, with or
-without a rank-r term ``u @ v.T`` added to a, and returns r, ``q.T @ b``
-and the Householder reflectors, which is all the library needs; it never
-forms q. ``form_q`` turns the reflectors into q,
-in place, and ``qr_thin`` is the two in sequence. Those two, with
+There are two base QRs, and both return r and ``q.T @ b`` without
+forming q. ``cholesky_qr`` runs certified CholeskyQR2: two Gram passes
+over a, in row blocks, with no m x n copy. It returns None when it cannot
+certify that its r is as good as a Householder r, that is, when a is
+ill-conditioned for its size. ``householder_qr`` always applies. It
+factors a, or ``[a | b]``, optionally with a rank-r term ``u @ v.T`` added
+to a, in one Fortran-ordered copy, and it also returns the reflectors.
+``woodbury.prepare`` tries ``cholesky_qr`` first and falls back to
+``householder_qr``. The from-scratch comparator ``baseline_solve``, and
+``qr_thin``, stay on Householder alone: it needs no certificate, and the
+measured speedups are quoted against it. ``form_q`` turns the reflectors
+into q, in place, and ``qr_thin`` is the two in sequence. Those two, with
 ``QRFactors``, are kept only for tests and for the benchmark's
 ``kernels.qr_thin`` layer.
 
@@ -36,6 +43,7 @@ from .errors import (
 )
 
 EPS = float(np.finfo(np.float64).eps)
+SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 
 
 # Rows of a per block of the transposed copy in ``householder_qr``; a
@@ -45,6 +53,11 @@ COPY_BLOCK = 256
 # Columns of the largest diagonal block that ``solve_upper_triangular`` and
 # ``invert_upper_triangular`` hand to ``np.linalg.solve`` or ``np.linalg.inv``.
 TRIANGULAR_LEAF = 64
+
+# Most rows of a per block of ``cholesky_qr``'s second pass, and columns
+# per product in its triangular products.
+GRAM_BLOCK = 2048
+TRIANGULAR_PANEL = 256
 
 
 class QRFactors(NamedTuple):
@@ -188,6 +201,112 @@ def householder_qr(a, b=None, u=None, v=None) -> Householder:
             f"(min |R_ii| = {diag.min():.3e}, max = {diag.max():.3e})"
         )
     return Householder(r=r, qtb=qtb, reflectors=qt, tau=tau)
+
+
+def cholesky_qr(a, b=None) -> Optional[tuple]:
+    """R and ``q.T @ b`` of a tall a by certified CholeskyQR2, or None.
+
+    CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44,
+    2015) takes ``R1 = chol(a.T a)'``, then ``q1 = a R1^{-1}`` and
+    ``R2 = chol(q1.T q1)'``, and returns ``r = R2 R1``: two Gram passes
+    over a, all BLAS-3, and no m x n copy. The second pass walks row
+    blocks of q1 through one buffer and carries b along, so
+    ``q.T @ b = R2^{-T} (q1.T b)`` with no q. A block has 2n rows, within
+    [512, ``GRAM_BLOCK``], so it holds about as much as two of the n x n
+    arrays made here anyway. Each block costs an n x n sum besides its
+    products, which makes much shorter blocks slower at large n.
+
+    r is as orthogonal a factor as Householder's when
+    ``delta = 8 kappa sqrt((m n + n (n + 1)) u) <= 1`` (the paper's
+    sufficient condition, u = eps / 2). kappa here is the Hoelder bound
+    ``sqrt(||R1||_1 ||R1^{-1}||_1 ||R1||_inf ||R1^{-1}||_inf)``, which is
+    at least cond_2(R1). The Frobenius bound is looser still (20x at
+    m = 20000, n = 1000) and would turn away well-conditioned a with n in
+    the thousands.
+
+    Returns a tuple ``(r, qtb)`` as ``householder_qr``'s fields of those
+    names (qtb None without b), or None when it cannot vouch for the
+    result: a Cholesky factorization fails, delta > 1 or is NaN, the Gram
+    matrix is not finite or so small that underflow outweighs its
+    roundoff, r or qtb is not finite, or r fails ``householder_qr``'s rank
+    screen. It then emits no warning; a caller falls back to
+    ``householder_qr``, which raises the matching error, if any.
+
+    Raises DimensionMismatch as ``householder_qr`` does for a and b.
+    """
+    a = _as_2d(a, "a")
+    m, n = a.shape
+    if m < n:
+        raise DimensionMismatch(f"QR requires m >= n, got shape {a.shape}")
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (m,):
+            raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
+    with np.errstate(all="ignore"):
+        try:
+            return _cholesky_qr2(a, b)
+        except np.linalg.LinAlgError:
+            return None
+
+
+def _cholesky_qr2(a: np.ndarray, b: Optional[np.ndarray]) -> Optional[tuple]:
+    """The body of ``cholesky_qr``, under its ``np.errstate``."""
+    m, n = a.shape
+    g = a.T @ a
+    # Underflow in a.T a adds up to m n subnormal spacings to g, which the
+    # certificate's roundoff model leaves out; below this scale it could
+    # pass an R1 that misstates cond(a).
+    if not (np.isfinite(g).all()
+            and g.diagonal().max(initial=0.0) > 2.0 * m * n * SUBNORMAL / EPS):
+        return None
+    r1 = np.linalg.cholesky(g).T
+    del g
+    r1inv = invert_upper_triangular(r1)
+    kappa = np.sqrt(np.linalg.norm(r1, 1) * np.linalg.norm(r1inv, 1)
+                    * np.linalg.norm(r1, np.inf) * np.linalg.norm(r1inv, np.inf))
+    if not 8.0 * kappa * np.sqrt((m * n + n * (n + 1)) * EPS / 2.0) <= 1.0:
+        return None
+    g2 = np.zeros((n, n))
+    gram = np.empty((n, n))
+    q1tb = np.zeros(n)
+    rows = min(GRAM_BLOCK, max(512, 2 * n), m)
+    block = np.empty((rows, n))
+    for i in range(0, m, rows):
+        q1 = block[:min(rows, m - i)]
+        _times_upper(a[i:i + rows], r1inv, q1)
+        np.matmul(q1.T, q1, out=gram)
+        g2 += gram
+        if b is not None:
+            q1tb += b[i:i + rows] @ q1
+    del r1inv, gram, block
+    l2 = np.linalg.cholesky(g2)
+    del g2
+    r = np.zeros((n, n))
+    _times_upper(l2.T, r1, r)
+    qtb = None
+    if b is not None:
+        # R2' y = q1tb by back substitution on the row- and column-reversed
+        # L2, which is upper triangular.
+        qtb = solve_upper_triangular(np.ascontiguousarray(l2[::-1, ::-1]), q1tb[::-1])[::-1]
+    if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
+        return None
+    diag = np.diag(r)
+    if n > 0 and diag.min() <= m * EPS * diag.max():
+        return None
+    return r, qtb
+
+
+def _times_upper(c: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write ``c @ t`` into out for an upper-triangular t.
+
+    One product per ``TRIANGULAR_PANEL`` columns of t, each over the rows
+    of t down to the panel's diagonal block, so the products skip all of
+    t's zero triangle but the panels' lower corners.
+    """
+    n = t.shape[0]
+    for j in range(0, n, TRIANGULAR_PANEL):
+        k = min(j + TRIANGULAR_PANEL, n)
+        np.matmul(c[:, :k], t[:k, j:k], out=out[:, j:k])
 
 
 def form_q(h: Householder) -> np.ndarray:

@@ -17,14 +17,16 @@ solver detects and rejects rank-dropping updates. The n x n correction is
 never materialized; ``prepare``/``build_workspace``/``solve_updated`` carry
 only z (n x 2r), yt (2r x n) and the 2r x 2r capacitance.
 
-``prepare`` factors ``[a | b]`` by Householder QR, inverts R once and
-keeps only that inverse: Q and the Householder reflectors are dropped
-before it returns, so a prepared base holds n^2 + n doubles beyond ``a``
-and the bound b. The bound b needs only ``Q.T b``, which the factorization
-carries. Any other right-hand side is solved by the corrected seminormal
-equations (CSNE; Björck 1987, LAA 88/89), from ``a`` and R^{-1} alone.
-One solve body serves a vector b and an m x k block, so the k columns of
-a block share every pass over ``a``.
+``prepare`` gets R and ``Q.T b`` for the bound b without forming Q. It
+tries certified CholeskyQR2 first (``kernels.cholesky_qr``): two Gram
+passes over ``a`` in row blocks, with no copy of ``a``. Past its
+certificate, on an ``a`` that is ill-conditioned for its size, it factors
+``[a | b]`` by Householder QR in one (n + 1) x m buffer. It then inverts R
+once and keeps only that inverse, so a prepared base holds n^2 + n doubles
+beyond ``a`` and the bound b. Any other right-hand side is solved by the
+corrected seminormal equations (CSNE; Björck 1987, LAA 88/89), from ``a``
+and R^{-1} alone. One solve body serves a vector b and an m x k block, so
+the k columns of a block share every pass over ``a``.
 
 ``z`` then costs two n x n by n x 2r products instead of two triangular
 solves. Skinny products are written with the skinny operand on the left,
@@ -179,7 +181,12 @@ def _base_matrix(a) -> np.ndarray:
 def updated_normal_residual(a, u, v, x, b) -> float:
     """``||ahat.T (ahat x - b)||_2`` without forming ``ahat = a + u v.T``."""
     rr = a @ x + u @ (v.T @ x) - b
-    return float(np.linalg.norm(a.T @ rr + v @ (u.T @ rr)))
+    g = a.T @ rr + v @ (u.T @ rr)
+    # Scaled by its largest entry, so no square overflows or underflows.
+    scale = float(np.abs(g).max(initial=0.0))
+    if not 0.0 < scale < np.inf:
+        return scale  # zero, or a NaN or infinity passed on
+    return scale * float(np.linalg.norm(g / scale))
 
 
 def _bound_rhs(b, m: int) -> Optional[np.ndarray]:
@@ -199,11 +206,18 @@ def _bound_rhs(b, m: int) -> Optional[np.ndarray]:
 def prepare(a, b=None) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
-    Factors ``[a | b]`` (``a`` alone without b) by Householder QR without
-    forming Q, inverts R once (about 2 n^3 / 3 flops beside the QR's
-    2 m n^2) and keeps only that inverse; the factorization itself is
-    released before this returns. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is
-    then two matrix products with the inverse (:func:`ata_solve`).
+    Factors a, and carries b along, without forming Q, and without copying
+    ``a`` when it can. Certified CholeskyQR2 (``kernels.cholesky_qr``)
+    makes two Gram passes over ``a`` in row blocks. Beside ``a`` it holds
+    a few n x n arrays and one block of at most ``kernels.GRAM_BLOCK``
+    rows. When it cannot certify its R, because cond(a) is too large for
+    a's size, ``[a | b]`` is factored by Householder QR in one
+    (n + 1) x m buffer instead, at the cost of the Gram pass already made.
+    That buffer is dropped before R is inverted. R is then inverted once
+    (about 2 n^3 / 3 flops beside the QR's 2 m n^2) and only that inverse
+    is kept. ``(a.T a)^{-1} c =
+    R^{-1} (R^{-T} c)`` is then two matrix products with the inverse
+    (:func:`ata_solve`).
 
     If ``b`` is given, the base solution ``x0 = R^{-1} (Q.T b)``, with
     ``Q.T b`` read off the factorization, is computed and bound to it, at
@@ -216,11 +230,16 @@ def prepare(a, b=None) -> PreparedBase:
     a = _base_matrix(a)
     m, n = a.shape
     b = _bound_rhs(b, m)
-    h = kernels.householder_qr(a, b)
-    rinv = _freeze(kernels.invert_upper_triangular(h.r))
+    factors = kernels.cholesky_qr(a, b)
+    if factors is None:
+        h = kernels.householder_qr(a, b)
+        factors = h.r, h.qtb
+        del h  # the (n + 1) x m buffer goes before R is inverted
+    r, qtb = factors
+    rinv = _freeze(kernels.invert_upper_triangular(r))
     x0 = None
     if b is not None:
-        b, x0 = _freeze(b.copy()), _freeze(kernels.solve_upper_triangular(h.r, h.qtb))
+        b, x0 = _freeze(b.copy()), _freeze(kernels.solve_upper_triangular(r, qtb))
     return PreparedBase(a=a, m=m, n=n, rinv=rinv, b=b, x0=x0)
 
 

@@ -16,6 +16,9 @@ from lrlsq.errors import (
 from lrlsq.kernels import (
     COPY_BLOCK,
     EPS,
+    GRAM_BLOCK,
+    TRIANGULAR_PANEL,
+    cholesky_qr,
     form_q,
     householder_qr,
     invert_upper_triangular,
@@ -201,6 +204,75 @@ def test_householder_qr_non_finite_qtb(bad):
     b[0] = bad
     with pytest.raises(NonFiniteValue, match=r"\[a \| b\]"):
         householder_qr(np.random.default_rng(5).standard_normal((20, 4)), b)
+
+
+# ------------------------------------------------------------- cholesky_qr
+
+@pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (GRAM_BLOCK + 5, 7),
+                                 (3 * TRIANGULAR_PANEL, TRIANGULAR_PANEL + 3),
+                                 (GRAM_BLOCK + 5, GRAM_BLOCK // 2 + 3)])
+@pytest.mark.parametrize("with_b", [True, False])
+def test_cholesky_qr_matches_householder_qr(m, n, with_b):
+    # Row blocks have 2n rows, at least 512 and at most GRAM_BLOCK; each
+    # large shape leaves a short last block. n > TRIANGULAR_PANEL splits
+    # the triangular products.
+    rng = np.random.default_rng(m * 100 + n)
+    a = rng.standard_normal((m, n)) + 3.0 * np.eye(m, n)
+    b = rng.standard_normal(m) if with_b else None
+    got = cholesky_qr(a, b)
+    assert got is not None
+    r, qtb = got
+    h = householder_qr(a, b)
+    np.testing.assert_array_equal(np.tril(r, -1), 0.0)
+    assert np.linalg.norm(r - h.r) <= 1e-14 * np.linalg.norm(h.r)
+    if with_b:
+        assert np.linalg.norm(qtb - h.qtb) <= 1e-14 * np.linalg.norm(b)
+    else:
+        assert qtb is None
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cholesky_qr_leaves_input_untouched(order):
+    rng = np.random.default_rng(19)
+    a = np.array(rng.standard_normal((GRAM_BLOCK + 5, 9)), order=order)
+    b = rng.standard_normal(a.shape[0])
+    keep_a, keep_b = a.copy(order="K"), b.copy()
+    assert cholesky_qr(a, b) is not None
+    np.testing.assert_array_equal(a, keep_a)
+    np.testing.assert_array_equal(b, keep_b)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["zero", "repeated column", "ill-conditioned", "nan in a",
+                                  "inf in a", "nan in b", "1e-300", "1e-160", "1e200"])
+def test_cholesky_qr_declines_quietly(case):
+    rng = np.random.default_rng(20)
+    a = rng.standard_normal((50, 6))
+    b = rng.standard_normal(50)
+    if case == "zero":
+        a[:] = 0.0
+    elif case == "repeated column":
+        a[:, 3] = a[:, 1]
+    elif case == "ill-conditioned":
+        # cond 1e8 passes the rank screen, but puts delta far above 1.
+        q, _ = np.linalg.qr(rng.standard_normal((50, 6)))
+        a = q * np.geomspace(1.0, 1e-8, 6)
+    elif case in ("nan in a", "inf in a"):
+        a[4, 2] = np.nan if case == "nan in a" else np.inf
+    elif case == "nan in b":
+        b[4] = np.nan
+    else:
+        a *= float(case)
+    assert cholesky_qr(a, b) is None
+
+
+def test_cholesky_qr_rejects_bad_shapes():
+    with pytest.raises(DimensionMismatch):
+        cholesky_qr(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        cholesky_qr(np.eye(3), np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        cholesky_qr(np.ones(3))
 
 
 # --------------------------------------------------- solve_upper_triangular

@@ -10,8 +10,8 @@ import scipy.linalg
 from conftest import draw_family, draw_instance, rank_drop_instance
 from oracles import numerical_rank, pinv_oracle
 from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
-from lrlsq import woodbury
-from lrlsq.kernels import qr_thin, solve_upper_triangular
+from lrlsq import kernels, woodbury
+from lrlsq.kernels import GRAM_BLOCK, qr_thin, solve_upper_triangular
 from lrlsq.woodbury import (
     LowRankUpdate,
     ata_solve,
@@ -55,9 +55,18 @@ def test_prepare_hand_checked():
 
 
 def test_prepare_rank_deficient():
+    # CholeskyQR2 declines a rank-deficient a, and the Householder QR it
+    # falls back to names the cause, in its own words.
     col = np.arange(1.0, 5.0)[:, None]
-    with pytest.raises(RankDeficient):
-        prepare(np.hstack([col, col]), np.ones(4))
+    rng = np.random.default_rng(40)
+    wide = rng.standard_normal((2000, 100))
+    wide[:, 7] = wide[:, :7] @ rng.standard_normal(7)
+    for a, b in [(np.hstack([col, col]), np.ones(4)), (wide, rng.standard_normal(2000))]:
+        with pytest.raises(RankDeficient) as want:
+            kernels.householder_qr(a, b)
+        with pytest.raises(RankDeficient) as got:
+            prepare(a, b)
+        assert str(got.value) == str(want.value)
 
 
 def test_prepare_normal_equations_invariant():
@@ -296,14 +305,36 @@ def _graded(rng, m, n, cond):
     return (p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T, p
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+def _counting_householder_qr(monkeypatch):
+    """Count calls of ``kernels.householder_qr``, prepare's fallback;
+    returns a list that grows by one per call."""
+    calls = []
+    real = kernels.householder_qr
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "householder_qr", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e10])
 @pytest.mark.parametrize("residual", ["zero", "large"])
-def test_fresh_rhs_within_sensitivity_bound(cond, residual):
+def test_fresh_rhs_within_sensitivity_bound(cond, residual, monkeypatch):
     # The first-order least squares sensitivity bound (Wedin 1973):
-    # kappa eps + kappa^2 eps ||r|| / (||a|| ||x||). The corrected seminormal
-    # equations stay under it (0.39x at worst here); the seminormal solve
-    # alone exceeds it on every zero-residual case, by up to five orders of
-    # magnitude at cond 1e6.
+    # kappa eps + kappa^2 eps ||r|| / (||a|| ||x||). The bound base solution
+    # stays under it on both of prepare's paths (0.40x at worst here). The
+    # corrected seminormal equations do too up to cond 1e6 (0.39x at
+    # worst); the seminormal solve alone exceeds it on every zero-residual
+    # case, by up to five orders of magnitude at cond 1e6. At cond 1e10 one
+    # correction step no longer suffices: cond^2 eps > 1, and CSNE lands
+    # 41x over the bound with a zero residual.
+    # CholeskyQR2 certifies while 8 kappa sqrt((m n + n (n + 1)) u), about
+    # 3.9e-5 kappa at this shape, is at most 1, for kappa the Hoelder bound
+    # on cond(R1), which here is 10 to 17 times cond(a): cond 1e2 takes
+    # it, 1e4 and up fall back to Householder QR.
+    calls = _counting_householder_qr(monkeypatch)
     rng = np.random.default_rng(36)
     a, p = _graded(rng, 2000, 100, cond)
     ax = a @ rng.standard_normal(100)
@@ -316,8 +347,54 @@ def test_fresh_rhs_within_sensitivity_bound(cond, residual):
     kappa_eps = cond * np.finfo(np.float64).eps
     bound = kappa_eps + cond * kappa_eps * np.linalg.norm(b - a @ ref) / (
         np.linalg.norm(a, 2) * np.linalg.norm(ref))
-    x = base_lstsq(prepare(a), b)
-    assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+    base = prepare(a, b)
+    assert len(calls) == (0 if cond <= 1e2 else 1)
+    assert np.linalg.norm(base.x0 - ref) <= bound * np.linalg.norm(ref)
+    if cond <= 1e6:
+        x = base_lstsq(base, b)
+        assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
+
+
+def _prepare_by_householder(a, b, monkeypatch):
+    """prepare on its Householder path alone: CholeskyQR2 made to decline."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "cholesky_qr", lambda a, b=None: None)
+        return prepare(a, b)
+
+
+def test_certified_prepare_matches_householder_prepare(monkeypatch):
+    # m spans three row blocks of 2n rows, n two triangular panels.
+    rng = np.random.default_rng(39)
+    a = rng.standard_normal((3000, 600))
+    b = rng.standard_normal(a.shape[0])
+    calls = _counting_householder_qr(monkeypatch)
+    got = prepare(a, b)
+    assert not calls
+    want = _prepare_by_householder(a, b, monkeypatch)
+    for name in ("rinv", "x0"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert np.linalg.norm(g - w) <= 1e-14 * np.linalg.norm(w), name
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["1e-300", "1e-200", "1e-160", "1e200", "1e300", "cond1e10"])
+def test_declined_prepare_is_householder_prepare(case, monkeypatch):
+    # a.T a overflows at 1e200 and up, and underflows to zero at 1e-200 and
+    # below; at 1e-160 it is subnormal, below the scale at which the
+    # certificate accounts for its roundoff. None of these may warn, and
+    # all of them, like an ill-conditioned a, get what Householder QR gives.
+    rng = np.random.default_rng(38)
+    if case == "cond1e10":
+        a = _graded(rng, 2000, 100, 1e10)[0]
+    else:
+        a = float(case) * rng.standard_normal((200, 20))
+    b = rng.standard_normal(a.shape[0])
+    calls = _counting_householder_qr(monkeypatch)
+    got = prepare(a, b)
+    assert len(calls) == 1
+    want = _prepare_by_householder(a, b, monkeypatch)
+    np.testing.assert_array_equal(got.rinv, want.rinv)
+    np.testing.assert_array_equal(got.x0, want.x0)
 
 
 @pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (12, 1), (30, 5)])
@@ -410,6 +487,27 @@ def test_normal_equations_certificate():
             np.linalg.norm(out.x) + np.linalg.norm(b) / ahat_norm
         )
         assert out.ne_residual <= bound
+
+
+@pytest.mark.filterwarnings("error")
+def test_normal_equations_certificate_at_extreme_scale():
+    # Scaling a and v by s scales ahat by s, so x by 1 / s and the
+    # certificate by s. At s = 1e300 the entries of ahat.T r are near 1e300
+    # and their squares overflow.
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((40, 6))
+    u = rng.standard_normal((40, 2))
+    v = rng.standard_normal((6, 2))
+    b = rng.standard_normal(40)
+    x = rng.standard_normal(6)
+    s = 1e300
+    want = s * updated_normal_residual(a, u, v, x, b)
+    got = updated_normal_residual(s * a, u, s * v, x / s, b)
+    assert abs(got - want) <= 1e-12 * want
+    base = prepare(s * a)
+    upd = LowRankUpdate(u, s * v)
+    out = solve_updated(base, upd, build_workspace(base, upd), b, check_residual=True)
+    assert np.isfinite(out.ne_residual)
 
 
 def test_solve_with_fresh_rhs_recomputes_base_solution():
@@ -604,26 +702,36 @@ def test_baseline_rejects_bad_update_shape(u_shape, v_shape):
                        rng.standard_normal(v_shape), rng.standard_normal(20))
 
 
-@pytest.mark.parametrize("fn", ["baseline_solve", "prepare"])
+@pytest.mark.parametrize("fn", ["baseline_solve", "prepare", "prepare_ill_conditioned"])
 def test_factorization_holds_one_buffer(fn):
-    # tracemalloc sees numpy's buffers. Both factor [. | b] in one
-    # (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
-    # it, with no m x n temporaries of its own.
+    # tracemalloc sees numpy's buffers. Householder QR factors [. | b] in
+    # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
+    # it, with no m x n temporaries of its own. prepare's CholeskyQR2 makes
+    # no such buffer: beside a few n x n arrays it streams a through one
+    # block of at most GRAM_BLOCK x n. When it declines, prepare drops
+    # Householder's buffer before it inverts R, so R and that inversion's
+    # n x n arrays never sit beside it.
     rng = np.random.default_rng(37)
-    m, n = 3000, 100
+    m, n = (6000, 200) if fn == "prepare_ill_conditioned" else (3000, 100)
     a = rng.standard_normal((m, n))
     u = rng.standard_normal((m, 10))
     v = rng.standard_normal((n, 10))
     b = rng.standard_normal(m)
+    ill = _graded(rng, m, n, 1e10)[0]
     call = {"baseline_solve": lambda: baseline_solve(a, u, v, b),
-            "prepare": lambda: prepare(a, b)}[fn]
+            "prepare": lambda: prepare(a, b),
+            "prepare_ill_conditioned": lambda: prepare(ill, b)}[fn]
+    buffer = (n + 1) * m * 8
+    bound = {"baseline_solve": 1.25 * buffer,
+             "prepare": 8 * (6 * n * n + GRAM_BLOCK * n),
+             "prepare_ill_conditioned": buffer + 2 * n * n * 8}[fn]
     tracemalloc.start()
     try:
         call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * (n + 1) * m * 8
+    assert peak <= bound
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
