@@ -17,7 +17,6 @@ from .errors import (
     SingularCapacitance,
     SingularMatrix,
 )
-from .kernels import solve_upper_triangular
 from .mio import BenchRecord, CSV_HEADER, read_bench_csv, read_matrix, write_bench_csv, write_matrix
 from .woodbury import (
     LowRankUpdate,
@@ -62,7 +61,6 @@ __all__ = [
     "run_benchmark",
     "solve_many",
     "solve_updated",
-    "solve_upper_triangular",
     "stream_id",
     "updated_normal_residual",
     "write_bench_csv",

@@ -123,8 +123,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
     """Run the sweep; returns per-rep records (``write_bench_csv`` stores them).
 
     Any solver error aborts the run, re-raised as the same type with the
-    offending (n, r, rep) attached and the original's attributes (any
-    diagnostics an error type carries) kept.
+    offending (n, r, rep) and stage attached and the original as its cause.
     """
     records: list[BenchRecord] = []
     for n in cfg.n_list:
@@ -151,7 +150,5 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     f"benchmark instance m={cfg.m}, n={n}, r={r} failed at "
                     f"{stage}: {err}"
                 )
-                # Keep the diagnostics an error type carries as attributes.
-                vars(wrapped).update(vars(err))
                 raise wrapped from err
     return records

@@ -4,27 +4,32 @@ Matrices are 2-D float64 numpy arrays throughout; vectors are 1-D. The
 functions here are thin, contract-checked fronts over LAPACK/BLAS, all
 through numpy, so one BLAS thread pool serves them. On-disk exchange is
 column-major (see ``lrlsq.mio``); in-memory stride order is whatever the
-underlying routine produces (``qr_thin``'s q is Fortran-ordered).
+underlying routine produces.
 
-There are two base QRs, and both return r and ``q.T @ b`` without
-forming q. ``cholesky_qr`` runs certified CholeskyQR2: two Gram passes
-over a, in row blocks, with no m x n copy. It returns None when it cannot
-certify that its r is as good as a Householder r, that is, when a is
-ill-conditioned for its size. ``householder_qr`` always applies. It
-factors a, or ``[a | b]``, optionally with a rank-r term ``u @ v.T`` added
-to a, in one Fortran-ordered copy, and it also returns the reflectors.
+There are two base QRs with one contract: each takes a tall a and an
+optional length-m b, and returns the tuple ``(r, qtb)``, r upper
+triangular with a nonnegative diagonal and qtb ``q.T @ b`` (None without
+b), without forming q. One screen serves both: r and qtb must be finite
+and r must pass a rank test. ``cholesky_qr`` runs certified CholeskyQR2:
+two Gram passes over a, in row blocks, with no m x n copy. It returns None
+when it cannot certify that its r is as good as a Householder r, that is,
+when a is ill-conditioned for its size, or when its r fails the screen.
+``householder_qr`` always applies and raises from the screen. It factors
+a, or ``[a | b]``, optionally with a rank-r term ``u @ v.T`` added to a,
+in one Fortran-ordered copy that it frees on return.
 ``woodbury.prepare`` tries ``cholesky_qr`` first and falls back to
-``householder_qr``. The from-scratch comparator ``baseline_solve``, and
-``qr_thin``, stay on Householder alone: it needs no certificate, and the
-measured speedups are quoted against it. ``form_q`` turns the reflectors
-into q, in place, and ``qr_thin`` is the two in sequence. Those two, with
-``QRFactors``, are kept only for tests and for the benchmark's
-``kernels.qr_thin`` layer.
+``householder_qr``. The from-scratch comparator ``baseline_solve`` stays
+on Householder alone: it needs no certificate, and the measured speedups
+are quoted against it.
 
-Every function but ``form_q`` is pure: inputs are never modified, results
-are fresh arrays, so they are safe to call concurrently on shared read-only
-data. ``form_q`` consumes the reflectors it is given. Results are
-deterministic for a fixed BLAS build and thread count.
+``qr_thin`` is ``np.linalg.qr`` behind the same screen: a reference that
+forms q, independent of the two QRs above, kept with ``QRFactors`` only
+for tests and for the benchmark's ``kernels.qr_thin`` layer until that
+layer is replaced.
+
+Every function is pure: inputs are never modified, results are fresh
+arrays, so they are safe to call concurrently on shared read-only data.
+Results are deterministic for a fixed BLAS build and thread count.
 """
 
 from __future__ import annotations
@@ -59,9 +64,14 @@ TRIANGULAR_LEAF = 64
 GRAM_BLOCK = 2048
 TRIANGULAR_PANEL = 256
 
+# ``lu_factor_checked`` rejects a p x p system unless its rcond is at least
+# ``p * eps * CAP_GUARD``. Genuine rank drop puts the rcond at roundoff
+# level; mild ill-conditioning, which the solver tolerates, keeps it above.
+CAP_GUARD = 1e3
+
 
 class QRFactors(NamedTuple):
-    """Thin QR factorization a = q @ r.
+    """Thin QR factorization a = q @ r, as ``qr_thin`` returns it.
 
     q has orthonormal columns (m x n) and r is upper triangular (n x n) with
     a nonnegative diagonal. For the sizes this package targets, q satisfies
@@ -70,23 +80,6 @@ class QRFactors(NamedTuple):
 
     q: np.ndarray
     r: np.ndarray
-
-
-class Householder(NamedTuple):
-    """Householder QR of a, or of ``[a | b]``, with q not yet formed.
-
-    r is the n x n factor of a, upper triangular with a nonnegative
-    diagonal, as in QRFactors. qtb is ``q.T @ b`` for the q that
-    ``form_q`` builds (None without b). reflectors is LAPACK geqrf's output
-    in Fortran order, held as its C-ordered transpose: row j is column j of
-    the factored matrix, with the Householder vectors below the diagonal.
-    tau holds their scalar factors.
-    """
-
-    r: np.ndarray
-    qtb: Optional[np.ndarray]
-    reflectors: np.ndarray
-    tau: np.ndarray
 
 
 def _as_2d(a, name: str) -> np.ndarray:
@@ -99,8 +92,8 @@ def _as_2d(a, name: str) -> np.ndarray:
 def _lapack_lite(routine, *args) -> None:
     """Run a ``numpy.linalg.lapack_lite`` routine with its optimal workspace.
 
-    An illegal argument raises ValueError (numpy's xerbla); geqrf and orgqr
-    report nothing else.
+    An illegal argument raises ValueError (numpy's xerbla); geqrf reports
+    nothing else.
     """
     work = np.empty(1)
     routine(*args, work, -1, 0)
@@ -108,14 +101,55 @@ def _lapack_lite(routine, *args) -> None:
     routine(*args, work, work.size, 0)
 
 
-def householder_qr(a, b=None, u=None, v=None) -> Householder:
-    """Factor a tall full-column-rank a, or ``[a | b]``, without forming q.
+def _tall(a, b=None) -> tuple:
+    """Validate a QR's input: a tall 2-D a and, optionally, a length-m b."""
+    a = _as_2d(a, "a")
+    m, n = a.shape
+    if m < n:
+        raise DimensionMismatch(f"QR requires m >= n, got shape {a.shape}")
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (m,):
+            raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
+    return a, b
+
+
+def _screen(r: np.ndarray, qtb: Optional[np.ndarray], m: int, what: str = "a") -> np.ndarray:
+    """Screen a QR's r and qtb, then give r a nonnegative diagonal in place.
+
+    Raises NonFiniteValue unless r (all of it: an entry above the diagonal
+    stays there when the columns to its left need no reflection) and qtb
+    are finite, and RankDeficient when some
+    ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual backward-stable
+    threshold. what names the factored matrix in the messages. The rows of
+    r and the entries of qtb are then multiplied by the returned signs, so
+    factors are reproducible across LAPACK builds.
+    """
+    n = r.shape[0]
+    if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
+        what = what if qtb is None else f"[{what} | b]"
+        raise NonFiniteValue(
+            f"{what} of shape ({m}, {n + (qtb is not None)}) contains NaN or infinite entries"
+        )
+    diag = np.abs(np.diag(r))
+    if n > 0 and diag.min() <= m * EPS * diag.max():
+        raise RankDeficient(
+            f"matrix of shape ({m}, {n}) is numerically rank-deficient "
+            f"(min |R_ii| = {diag.min():.3e}, max = {diag.max():.3e})"
+        )
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    r *= sign[:, None]
+    if qtb is not None:
+        qtb *= sign
+    return sign
+
+
+def householder_qr(a, b=None, u=None, v=None) -> tuple:
+    """R and ``q.T @ b`` of a tall a, or of ``a + u @ v.T``, by Householder QR.
 
     Copies a (and b) once into Fortran order, block by block, and runs
     LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``. None
-    of a, b, u, v is modified. Signs are then normalized so every diagonal
-    entry of r is nonnegative, which makes factors reproducible across
-    LAPACK builds.
+    of a, b, u, v is modified, and the copy is freed on return.
 
     With a rank-r term (u, v) the factored matrix is ``a + u @ v.T``:
     each block of it is written straight into the Fortran-ordered buffer,
@@ -123,10 +157,9 @@ def householder_qr(a, b=None, u=None, v=None) -> Householder:
     m x n array but that buffer is made.
 
     With b, this is Golub's Householder least squares method: the
-    reflectors that triangularize a also carry b, so the top n entries of
-    the last column are ``q.T @ b``, and ``r x = qtb`` solves
-    ``min ||a x - b||`` with no q at all. ``form_q`` builds q from the
-    result when it is needed.
+    transformations that triangularize a also carry b, so the top n
+    entries of the last column are ``q.T @ b``, and ``r x = qtb`` solves
+    ``min ||a x - b||`` with no q at all.
 
     Parameters
     ----------
@@ -136,6 +169,9 @@ def householder_qr(a, b=None, u=None, v=None) -> Householder:
         them out screens b itself.
     u, v : (m, r) and (n, r) arrays, optional, given together.
 
+    Returns the tuple ``(r, qtb)``: r is n x n upper triangular with a
+    nonnegative diagonal, qtb is None without b.
+
     Raises
     ------
     NonFiniteValue
@@ -144,16 +180,13 @@ def householder_qr(a, b=None, u=None, v=None) -> Householder:
         factor instead of making a pass over a.
     RankDeficient
         If a is numerically rank-deficient: some
-        ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual
-        backward-stable threshold.
+        ``|r[i, i]| <= m * eps * max_j |r[j, j]|``.
     DimensionMismatch
         If a is not 2-D or has m < n, b is not a length-m vector, or u and
         v are not 2-D, do not conform with a or differ in column count.
     """
-    a = _as_2d(a, "a")
+    a, b = _tall(a, b)
     m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"QR requires m >= n, got shape {a.shape}")
     if (u is None) != (v is None):
         raise DimensionMismatch("u and v must be given together")
     if u is not None:
@@ -163,12 +196,7 @@ def householder_qr(a, b=None, u=None, v=None) -> Householder:
                 f"update of shapes u={u.shape}, v={v.shape} does not conform "
                 f"with a of shape {a.shape}"
             )
-    cols = n
-    if b is not None:
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (m,):
-            raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
-        cols = n + 1
+    cols = n if b is None else n + 1
     # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
     qt = np.empty((cols, m))
     for i in range(0, m, COPY_BLOCK):
@@ -184,23 +212,8 @@ def householder_qr(a, b=None, u=None, v=None) -> Householder:
     _lapack_lite(lapack_lite.dgeqrf, m, cols, qt, max(1, m), tau)
     r = np.triu(qt[:n, :n].T)
     qtb = None if b is None else qt[n, :n].copy()
-    # All of r, not just its diagonal: an entry above the diagonal stays
-    # there when the columns to its left need no reflection.
-    if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
-        what = "a" if u is None else "a + u v.T"
-        what = what if b is None else f"[{what} | b]"
-        raise NonFiniteValue(f"{what} of shape ({m}, {cols}) contains NaN or infinite entries")
-    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    r *= sign[:, None]
-    if qtb is not None:
-        qtb *= sign
-    diag = np.diag(r)
-    if n > 0 and diag.min() <= m * EPS * diag.max():
-        raise RankDeficient(
-            f"matrix of shape {a.shape} is numerically rank-deficient "
-            f"(min |R_ii| = {diag.min():.3e}, max = {diag.max():.3e})"
-        )
-    return Householder(r=r, qtb=qtb, reflectors=qt, tau=tau)
+    _screen(r, qtb, m, "a" if u is None else "a + u v.T")
+    return r, qtb
 
 
 def cholesky_qr(a, b=None) -> Optional[tuple]:
@@ -224,28 +237,21 @@ def cholesky_qr(a, b=None) -> Optional[tuple]:
     m = 20000, n = 1000) and would turn away well-conditioned a with n in
     the thousands.
 
-    Returns a tuple ``(r, qtb)`` as ``householder_qr``'s fields of those
-    names (qtb None without b), or None when it cannot vouch for the
-    result: a Cholesky factorization fails, delta > 1 or is NaN, the Gram
-    matrix is not finite or so small that underflow outweighs its
-    roundoff, r or qtb is not finite, or r fails ``householder_qr``'s rank
-    screen. It then emits no warning; a caller falls back to
-    ``householder_qr``, which raises the matching error, if any.
+    Returns the tuple ``(r, qtb)`` as ``householder_qr`` does, or None
+    when it cannot vouch for the result: a Cholesky factorization fails,
+    delta > 1 or is NaN, the Gram matrix is not finite or so small that
+    underflow outweighs its roundoff, or r and qtb fail the screen that
+    ``householder_qr`` raises from. It then emits no warning; a caller
+    falls back to ``householder_qr``, which raises the matching error, if
+    any.
 
     Raises DimensionMismatch as ``householder_qr`` does for a and b.
     """
-    a = _as_2d(a, "a")
-    m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"QR requires m >= n, got shape {a.shape}")
-    if b is not None:
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (m,):
-            raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
+    a, b = _tall(a, b)
     with np.errstate(all="ignore"):
         try:
             return _cholesky_qr2(a, b)
-        except np.linalg.LinAlgError:
+        except (np.linalg.LinAlgError, NonFiniteValue, RankDeficient):
             return None
 
 
@@ -288,11 +294,7 @@ def _cholesky_qr2(a: np.ndarray, b: Optional[np.ndarray]) -> Optional[tuple]:
         # R2' y = q1tb by back substitution on the row- and column-reversed
         # L2, which is upper triangular.
         qtb = solve_upper_triangular(np.ascontiguousarray(l2[::-1, ::-1]), q1tb[::-1])[::-1]
-    if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
-        return None
-    diag = np.diag(r)
-    if n > 0 and diag.min() <= m * EPS * diag.max():
-        return None
+    _screen(r, qtb, m)
     return r, qtb
 
 
@@ -309,36 +311,19 @@ def _times_upper(c: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
         np.matmul(c[:, :k], t[:k, j:k], out=out[:, j:k])
 
 
-def form_q(h: Householder) -> np.ndarray:
-    """The m x n q of a ``householder_qr`` result, Fortran-ordered.
-
-    Runs LAPACK ``orgqr`` in place on ``h.reflectors``, so q shares their
-    memory and h cannot give a second q: call this once per factorization.
-    Columns then take the signs that made r's diagonal nonnegative, so
-    ``q @ h.r`` reproduces a and ``q.T @ b`` equals ``h.qtb``.
-    """
-    qt, tau = h.reflectors, h.tau
-    n = h.r.shape[0]
-    m = qt.shape[1]
-    # The diagonal of the unnormalized r, before orgqr overwrites it.
-    sign = np.where(np.diagonal(qt[:n, :n]) < 0.0, -1.0, 1.0)
-    _lapack_lite(lapack_lite.dorgqr, m, n, n, qt, max(1, m), tau)
-    q = qt[:n].T
-    q *= sign
-    return q
-
-
 def qr_thin(a) -> QRFactors:
-    """Thin Householder QR of a tall full-column-rank matrix.
+    """Thin QR of a tall full-column-rank a: ``np.linalg.qr`` and the screen.
 
-    ``householder_qr`` and then ``form_q``: one Fortran-ordered copy of a,
-    LAPACK ``geqrf`` and ``orgqr`` in place on it, so q comes back
-    Fortran-ordered; a itself is not modified. Raises as
+    A reference, independent of the two QRs above, for tests and the
+    benchmark's ``kernels.qr_thin`` layer. r and q take the signs that
+    give r a nonnegative diagonal; a is not modified. Raises as
     ``householder_qr`` does: NonFiniteValue, RankDeficient or
     DimensionMismatch.
     """
-    h = householder_qr(a)
-    return QRFactors(q=form_q(h), r=h.r)
+    a, _ = _tall(a)
+    q, r = np.linalg.qr(a)
+    q *= _screen(r, None, a.shape[0])
+    return QRFactors(q=q, r=r)
 
 
 def solve_upper_triangular(r, b) -> np.ndarray:
@@ -426,9 +411,10 @@ def lu_factor_checked(c) -> float:
     Returns ``rcond = 1 / cond_1(c)``, which numpy computes from an LU
     factorization of c with partial pivoting.
 
-    Raises SingularCapacitance unless ``rcond > p * eps`` for the p x p
-    system, a test that a NaN or infinite c fails too: the system cannot be
-    solved reliably.
+    Raises SingularCapacitance unless ``rcond >= p * eps * CAP_GUARD`` for
+    the p x p system, a test that a NaN or infinite c fails too: c is the
+    capacitance of an update, and the updated matrix appears
+    rank-deficient.
     """
     c = _as_2d(c, "c")
     p = c.shape[0]
@@ -437,8 +423,10 @@ def lu_factor_checked(c) -> float:
     if p == 0:
         raise DimensionMismatch("c must be nonempty")
     rcond = float(1.0 / np.linalg.cond(c, 1))
-    if not rcond > p * EPS:
+    threshold = p * EPS * CAP_GUARD
+    if not rcond >= threshold:
         raise SingularCapacitance(
-            f"{p} x {p} system is singular or near-singular (rcond {rcond:.3e})"
+            f"updated matrix appears rank-deficient: {p} x {p} capacitance "
+            f"rcond {rcond:.3e} is below {threshold:.3e}"
         )
     return rcond

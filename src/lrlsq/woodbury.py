@@ -47,13 +47,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import DimensionMismatch, NonFiniteValue, SingularCapacitance
-from .kernels import EPS
-
-# Capacitance rejection guard: fail when rcond < 2r * eps * CAP_GUARD.
-# Separates genuine rank drop (rcond at roundoff level) from mild
-# ill-conditioning, which the solver tolerates.
-CAP_GUARD = 1e3
+from .errors import DimensionMismatch, NonFiniteValue
 
 
 @dataclass(frozen=True)
@@ -230,12 +224,7 @@ def prepare(a, b=None) -> PreparedBase:
     a = _base_matrix(a)
     m, n = a.shape
     b = _bound_rhs(b, m)
-    factors = kernels.cholesky_qr(a, b)
-    if factors is None:
-        h = kernels.householder_qr(a, b)
-        factors = h.r, h.qtb
-        del h  # the (n + 1) x m buffer goes before R is inverted
-    r, qtb = factors
+    r, qtb = kernels.cholesky_qr(a, b) or kernels.householder_qr(a, b)
     rinv = _freeze(kernels.invert_upper_triangular(r))
     x0 = None
     if b is not None:
@@ -288,10 +277,11 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
     plus 2r solves against ``a.T a``; after this, every right-hand side is
     an O(mn) solve.
 
-    Raises SingularCapacitance when ``I + yt @ z`` is singular or its
-    rcond falls below ``2r * eps * CAP_GUARD``, the signature of an update
-    that destroys full column rank, and NonFiniteValue when the capacitance
-    overflows, as it does for a finite update far larger than a.
+    Raises SingularCapacitance when the capacitance ``I + yt @ z`` fails
+    ``kernels.lu_factor_checked``, whose one threshold on its rcond
+    (``2r * eps * kernels.CAP_GUARD`` here) marks an update that destroys
+    full column rank, and NonFiniteValue when the capacitance overflows, as
+    it does for a finite update far larger than a.
     """
     u, v, r = upd.u, upd.v, upd.rank
     if u.shape[0] != base.m or v.shape[0] != base.n:
@@ -311,11 +301,6 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
             "too large relative to a"
         )
     cap_rcond = kernels.lu_factor_checked(cap)
-    if cap_rcond < 2 * r * EPS * CAP_GUARD:
-        raise SingularCapacitance(
-            f"capacitance rcond {cap_rcond:.3e} below threshold "
-            f"{2 * r * EPS * CAP_GUARD:.3e}: updated matrix appears rank-deficient"
-        )
     return UpdateWorkspace(
         x_blk=_freeze(x_blk), yt=_freeze(yt), z=_freeze(z),
         cap=_freeze(cap), cap_rcond=cap_rcond, rank=r,
@@ -430,5 +415,5 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     """
     b = np.asarray(b, dtype=np.float64)
     _require_finite(b, "b")
-    h = kernels.householder_qr(a, b, u, v)
-    return kernels.solve_upper_triangular(h.r, h.qtb)
+    r, qtb = kernels.householder_qr(a, b, u, v)
+    return kernels.solve_upper_triangular(r, qtb)

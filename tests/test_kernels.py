@@ -14,12 +14,12 @@ from lrlsq.errors import (
     SingularMatrix,
 )
 from lrlsq.kernels import (
+    CAP_GUARD,
     COPY_BLOCK,
     EPS,
     GRAM_BLOCK,
     TRIANGULAR_PANEL,
     cholesky_qr,
-    form_q,
     householder_qr,
     invert_upper_triangular,
     lu_factor_checked,
@@ -82,7 +82,6 @@ def test_qr_thin_leaves_input_untouched(order):
     f = qr_thin(a)
     np.testing.assert_array_equal(a, keep)
     assert not np.shares_memory(f.q, a) and not np.shares_memory(f.r, a)
-    assert f.q.flags.f_contiguous
     assert np.linalg.norm(f.q @ f.r - a) <= 1e-12 * np.linalg.norm(a)
 
 
@@ -103,30 +102,25 @@ def test_qr_non_finite_entry_off_the_diagonal_of_r(bad):
         qr_thin(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
 
 
-# ------------------------------------------------ householder_qr, form_q
+# ---------------------------------------------------------- householder_qr
 
 @pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (40, 9), (2 * COPY_BLOCK + 3, 5)])
 @pytest.mark.parametrize("with_b", [True, False])
 def test_householder_qr_matches_qr_thin(m, n, with_b):
     # m = n makes [a | b] wider than tall, and m = n + 1 gives b a
     # reflector of its own below the top n rows; m > COPY_BLOCK crosses
-    # block edges of the transposed copy.
+    # block edges of the transposed copy. qr_thin is numpy's QR, which
+    # shares no code with householder_qr.
     rng = np.random.default_rng(m * 100 + n)
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m) if with_b else None
     f = qr_thin(a)
-    h = householder_qr(a, b)
-    assert np.linalg.norm(h.r - f.r) <= 1e-13 * np.linalg.norm(f.r)
+    r, qtb = householder_qr(a, b)
+    assert np.linalg.norm(r - f.r) <= 1e-13 * np.linalg.norm(f.r)
     if with_b:
-        ref = f.q.T @ b
-        assert np.linalg.norm(h.qtb - ref) <= 1e-13 * np.linalg.norm(b)
+        assert np.linalg.norm(qtb - f.q.T @ b) <= 1e-13 * np.linalg.norm(b)
     else:
-        assert h.qtb is None
-    q = form_q(h)
-    assert q.shape == (m, n) and q.flags.f_contiguous
-    assert np.linalg.norm(q - f.q) <= 1e-13 * n
-    if with_b:
-        assert np.linalg.norm(q.T @ b - h.qtb) <= 1e-13 * np.linalg.norm(b)
+        assert qtb is None
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -155,13 +149,13 @@ def test_householder_qr_rank_term_matches_explicit_sum(with_b):
     u = rng.standard_normal((m, r))
     v = rng.standard_normal((n, r))
     b = rng.standard_normal(m) if with_b else None
-    h = householder_qr(a, b, u, v)
-    ref = householder_qr(a + u @ v.T, b)
-    assert np.linalg.norm(h.r - ref.r) <= 1e-14 * np.linalg.norm(ref.r)
+    r, qtb = householder_qr(a, b, u, v)
+    ref_r, ref_qtb = householder_qr(a + u @ v.T, b)
+    assert np.linalg.norm(r - ref_r) <= 1e-14 * np.linalg.norm(ref_r)
     if with_b:
-        assert np.linalg.norm(h.qtb - ref.qtb) <= 1e-14 * np.linalg.norm(ref.qtb)
+        assert np.linalg.norm(qtb - ref_qtb) <= 1e-14 * np.linalg.norm(ref_qtb)
     else:
-        assert h.qtb is None
+        assert qtb is None
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -186,9 +180,9 @@ def test_householder_qr_least_squares_hand_checked():
     # a = [e1, -e2] needs no reflection; the sign normalization makes
     # r = I and q = a, so q.T b = [3, 4].
     a = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
-    h = householder_qr(a, np.array([3.0, -4.0, 5.0]))
-    np.testing.assert_allclose(h.r, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(h.qtb, [3.0, 4.0], atol=1e-15)
+    r, qtb = householder_qr(a, np.array([3.0, -4.0, 5.0]))
+    np.testing.assert_allclose(r, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(qtb, [3.0, 4.0], atol=1e-15)
 
 
 def test_householder_qr_rejects_bad_b():
@@ -222,11 +216,11 @@ def test_cholesky_qr_matches_householder_qr(m, n, with_b):
     got = cholesky_qr(a, b)
     assert got is not None
     r, qtb = got
-    h = householder_qr(a, b)
+    ref_r, ref_qtb = householder_qr(a, b)
     np.testing.assert_array_equal(np.tril(r, -1), 0.0)
-    assert np.linalg.norm(r - h.r) <= 1e-14 * np.linalg.norm(h.r)
+    assert np.linalg.norm(r - ref_r) <= 1e-14 * np.linalg.norm(ref_r)
     if with_b:
-        assert np.linalg.norm(qtb - h.qtb) <= 1e-14 * np.linalg.norm(b)
+        assert np.linalg.norm(qtb - ref_qtb) <= 1e-14 * np.linalg.norm(b)
     else:
         assert qtb is None
 
@@ -300,7 +294,7 @@ def _graded_r(n, cond):
     """R of a graded n x n matrix, singular values log-spaced from 1 to
     1/cond; read-only, as it is shared between tests."""
     q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
-    r = householder_qr(np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T).r
+    r, _ = householder_qr(np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T)
     r.flags.writeable = False
     return r
 
@@ -395,7 +389,7 @@ def test_invert_upper_triangular_matches_trtri_on_graded_r(cond):
     n = 300
     p, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    r = householder_qr((p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T).r
+    r, _ = householder_qr((p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T)
     inv = invert_upper_triangular(r)
     ref = np.triu(scipy.linalg.lapack.dtrtri(r)[0])
     assert inv.flags.c_contiguous and not np.tril(inv, -1).any()
@@ -436,11 +430,13 @@ def test_lu_diagonally_dominant_residual():
 
 
 def test_lu_near_singular_two_by_two():
-    # rcond of [[1, 1], [1, 1 + d]] is about d / 4: accepted at d = 1e-12,
-    # rejected below 2 eps.
-    assert lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])) > 0.0
-    with pytest.raises(SingularCapacitance):
-        lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0 + 2 * EPS]]))
+    # rcond of [[1, 1], [1, 1 + d]] is about d / 4, against the threshold
+    # 2 eps CAP_GUARD = 4.4e-13: accepted at d = 1e-9, rejected at
+    # d = 1e-12 and at d = 2 eps.
+    assert lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9]])) > 2 * EPS * CAP_GUARD
+    for d in (1e-12, 2 * EPS):
+        with pytest.raises(SingularCapacitance, match="appears rank-deficient"):
+            lu_factor_checked(np.array([[1.0, 1.0], [1.0, 1.0 + d]]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import threading
 import tracemalloc
@@ -142,6 +143,26 @@ def test_workspace_rank_drop_fixture():
         build_workspace(base, upd)
 
 
+def test_workspace_rank_drop_has_one_threshold_and_one_message():
+    # u = (d - 1) e1 leaves column 0 of A32 + u v.T at d e1, and the
+    # capacitance determinant is d^2. At d = 1e-8 its rcond is at roundoff
+    # level; at d = 1e-7 it lies above 2r eps but below 2r eps CAP_GUARD.
+    # Both are rank drop, and both say so in the same words.
+    base = prepare(A32)
+    v = np.array([[1.0], [0.0]])
+    lo, hi = 2 * kernels.EPS, 2 * kernels.EPS * kernels.CAP_GUARD
+    messages = []
+    for d, (below, above) in [(1e-8, (0.0, lo)), (1e-7, (lo, hi))]:
+        upd = LowRankUpdate(np.array([[d - 1.0], [0.0], [0.0]]), v)
+        cap = np.array([[1.0 - d * (1 - d), d * (1 - d) ** 2], [1.0, d]])
+        assert below < 1.0 / np.linalg.cond(cap, 1) < above
+        with pytest.raises(SingularCapacitance) as info:
+            build_workspace(base, upd)
+        messages.append(re.sub(r"rcond \S+", "rcond _", str(info.value)))
+    assert "appears rank-deficient" in messages[0]
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("scale", [1e150, 1e300])
 def test_workspace_overflow_names_its_cause(scale):
     # A finite update this large overflows the capacitance. The error says
@@ -222,10 +243,11 @@ def test_prepare_stays_off_scipy_trtri(monkeypatch):
     np.testing.assert_array_equal(base.x0, base_ref.x0)
 
 
-def test_qr_thin_stays_off_numpy_qr(monkeypatch):
-    # The base QR runs LAPACK geqrf + orgqr in place on one Fortran-ordered
-    # copy; numpy's qr would add two m x n transposes, and scipy's would
-    # wake scipy's BLAS pool just before the update path's numpy products.
+def test_prepare_and_baseline_solve_stay_off_numpy_qr(monkeypatch):
+    # The library's QRs form no q: CholeskyQR2, or LAPACK geqrf in place on
+    # one Fortran-ordered copy. numpy's qr would add two m x n transposes,
+    # and scipy's would wake scipy's BLAS pool just before the update
+    # path's numpy products. Only the reference kernels.qr_thin calls one.
     rng = np.random.default_rng(18)
     a, b, u, v, base_ref, _ = draw_instance(rng, 300, 40, 3)
     x_ref = baseline_solve(a, u, v, b)
