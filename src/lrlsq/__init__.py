@@ -15,7 +15,6 @@ from .errors import (
     NonFiniteValue,
     RankDeficient,
     SingularCapacitance,
-    SingularMatrix,
 )
 from .mio import BenchRecord, CSV_HEADER, read_bench_csv, read_matrix, write_bench_csv, write_matrix
 from .woodbury import (
@@ -47,7 +46,6 @@ __all__ = [
     "PreparedBase",
     "RankDeficient",
     "SingularCapacitance",
-    "SingularMatrix",
     "SolveOutcome",
     "UpdateWorkspace",
     "ata_solve",

@@ -12,7 +12,7 @@ Exit codes:
     2  usage error
     3  malformed or inconsistent input file
     4  rank-deficient base or updated matrix
-    5  singular system or singular capacitance (update kills full rank)
+    5  rank-dropping update (singular capacitance)
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .errors import (
     NonFiniteValue,
     RankDeficient,
     SingularCapacitance,
-    SingularMatrix,
 )
 from .mio import read_matrix, write_bench_csv, write_matrix
 from .woodbury import LowRankUpdate, build_workspace, prepare, solve_updated
@@ -38,7 +37,6 @@ from .woodbury import LowRankUpdate, build_workspace, prepare, solve_updated
 _ERROR_CODES = (
     (RankDeficient, 4),
     (SingularCapacitance, 5),
-    (SingularMatrix, 5),
     (MalformedHeader, 3),
     (NonFiniteValue, 3),
     (DimensionMismatch, 3),
@@ -69,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="lrlsq",
         description="Least squares solves for low-rank-updated matrices.",
         epilog="Exit codes: 0 success, 2 usage, 3 bad input file, "
-               "4 rank-deficient, 5 singular system/capacitance, "
+               "4 rank-deficient, 5 rank-dropping update, "
                "1 other errors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

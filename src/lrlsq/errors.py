@@ -13,10 +13,6 @@ class RankDeficient(LrlsqError):
     """A matrix required to have full column rank is numerically rank-deficient."""
 
 
-class SingularMatrix(LrlsqError):
-    """A triangular factor has a zero diagonal entry."""
-
-
 class SingularCapacitance(LrlsqError):
     """The small capacitance system is singular or numerically near-singular.
 
@@ -44,8 +40,10 @@ class MalformedHeader(LrlsqError):
 
 
 class NonFiniteValue(LrlsqError):
-    """Matrix data contains NaN or infinity.
+    """Matrix data, or a result computed from it, contains NaN or infinity.
 
-    Raised for matrix files, and for the inputs of ``prepare`` and
-    ``LowRankUpdate``, before any of it reaches a solver.
+    Raised for matrix files; for the inputs of ``prepare``,
+    ``LowRankUpdate`` and the solvers; from a QR's screen when its factor
+    is not finite, which is how ``baseline_solve`` finds a non-finite a;
+    and when an update's capacitance overflows.
     """

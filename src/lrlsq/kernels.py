@@ -1,10 +1,14 @@
 """Dense real linear algebra kernels.
 
-Matrices are 2-D float64 numpy arrays throughout; vectors are 1-D. The
-functions here are thin, contract-checked fronts over LAPACK/BLAS, all
-through numpy, so one BLAS thread pool serves them. On-disk exchange is
-column-major (see ``lrlsq.mio``); in-memory stride order is whatever the
-underlying routine produces.
+These kernels are internal to the package: ``lrlsq.woodbury`` checks
+every input before a kernel sees it, so callers pass 2-D float64 arrays
+(vectors 1-D) of conforming shapes, and the kernels check none of that
+again; a call that breaks this raises numpy's own error. They screen only
+their own results: ``_screen`` tests a QR's factor (finite, full rank)
+and ``lu_factor_checked`` the capacitance's rcond. Everything runs on
+LAPACK/BLAS through numpy, so one BLAS thread pool serves them. On-disk
+exchange is column-major (see ``lrlsq.mio``); in-memory stride order is
+whatever the underlying routine produces.
 
 There are two base QRs with one contract: each takes a tall a and an
 optional length-m b, and returns the tuple ``(r, qtb)``, r upper
@@ -39,13 +43,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.linalg import lapack_lite
 
-from .errors import (
-    DimensionMismatch,
-    NonFiniteValue,
-    RankDeficient,
-    SingularCapacitance,
-    SingularMatrix,
-)
+from .errors import NonFiniteValue, RankDeficient, SingularCapacitance
 
 EPS = float(np.finfo(np.float64).eps)
 SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
@@ -82,13 +80,6 @@ class QRFactors(NamedTuple):
     r: np.ndarray
 
 
-def _as_2d(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
 def _lapack_lite(routine, *args) -> None:
     """Run a ``numpy.linalg.lapack_lite`` routine with its optimal workspace.
 
@@ -99,19 +90,6 @@ def _lapack_lite(routine, *args) -> None:
     routine(*args, work, -1, 0)
     work = np.empty(max(1, int(work[0])))
     routine(*args, work, work.size, 0)
-
-
-def _tall(a, b=None) -> tuple:
-    """Validate a QR's input: a tall 2-D a and, optionally, a length-m b."""
-    a = _as_2d(a, "a")
-    m, n = a.shape
-    if m < n:
-        raise DimensionMismatch(f"QR requires m >= n, got shape {a.shape}")
-    if b is not None:
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (m,):
-            raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
-    return a, b
 
 
 def _screen(r: np.ndarray, qtb: Optional[np.ndarray], m: int, what: str = "a") -> np.ndarray:
@@ -181,21 +159,8 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
     RankDeficient
         If a is numerically rank-deficient: some
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``.
-    DimensionMismatch
-        If a is not 2-D or has m < n, b is not a length-m vector, or u and
-        v are not 2-D, do not conform with a or differ in column count.
     """
-    a, b = _tall(a, b)
     m, n = a.shape
-    if (u is None) != (v is None):
-        raise DimensionMismatch("u and v must be given together")
-    if u is not None:
-        u, v = _as_2d(u, "u"), _as_2d(v, "v")
-        if u.shape[0] != m or v.shape[0] != n or u.shape[1] != v.shape[1]:
-            raise DimensionMismatch(
-                f"update of shapes u={u.shape}, v={v.shape} does not conform "
-                f"with a of shape {a.shape}"
-            )
     cols = n if b is None else n + 1
     # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
     qt = np.empty((cols, m))
@@ -243,11 +208,8 @@ def cholesky_qr(a, b=None) -> Optional[tuple]:
     underflow outweighs its roundoff, or r and qtb fail the screen that
     ``householder_qr`` raises from. It then emits no warning; a caller
     falls back to ``householder_qr``, which raises the matching error, if
-    any.
-
-    Raises DimensionMismatch as ``householder_qr`` does for a and b.
+    any. It raises nothing of its own.
     """
-    a, b = _tall(a, b)
     with np.errstate(all="ignore"):
         try:
             return _cholesky_qr2(a, b)
@@ -316,11 +278,9 @@ def qr_thin(a) -> QRFactors:
 
     A reference, independent of the two QRs above, for tests and the
     benchmark's ``kernels.qr_thin`` layer. r and q take the signs that
-    give r a nonnegative diagonal; a is not modified. Raises as
-    ``householder_qr`` does: NonFiniteValue, RankDeficient or
-    DimensionMismatch.
+    give r a nonnegative diagonal; a is not modified. Raises from the
+    screen as ``householder_qr`` does: NonFiniteValue or RankDeficient.
     """
-    a, _ = _tall(a)
     q, r = np.linalg.qr(a)
     q *= _screen(r, None, a.shape[0])
     return QRFactors(q=q, r=r)
@@ -337,20 +297,12 @@ def solve_upper_triangular(r, b) -> np.ndarray:
     columns; the result has the same ndim. Only the upper triangle of r is
     read.
 
-    Raises SingularMatrix if r has a zero diagonal entry. Near-zero
-    diagonals are the caller's concern (``householder_qr`` screens for them).
+    Raises nothing of its own: r is a factor that passed a QR's screen,
+    so its diagonal is far from zero. A zero diagonal entry makes
+    ``np.linalg.solve`` raise LinAlgError.
     """
-    r = _as_2d(r, "r")
     n = r.shape[0]
-    if r.shape[1] != n:
-        raise DimensionMismatch(f"r must be square, got shape {r.shape}")
     x = np.array(b, dtype=np.float64)
-    if x.ndim not in (1, 2) or x.shape[0] != n:
-        raise DimensionMismatch(
-            f"right-hand side of shape {x.shape} does not conform with r of shape {r.shape}"
-        )
-    if n > 0 and np.any(np.diag(r) == 0.0):
-        raise SingularMatrix("triangular factor has a zero diagonal entry")
     for j in reversed(range(0, n, TRIANGULAR_LEAF)):
         k = min(j + TRIANGULAR_LEAF, n)
         x[j:k] = np.linalg.solve(np.triu(r[j:k, j:k]), x[j:k])
@@ -372,17 +324,11 @@ def invert_upper_triangular(r) -> np.ndarray:
     The result is upper triangular and C-contiguous, so that products
     ``c @ inv`` with a skinny row-major c run in BLAS's fast orientation.
 
-    Raises SingularMatrix if r has a zero diagonal entry.
+    Raises nothing of its own: r is a factor that passed a QR's screen,
+    or a Cholesky factor. A zero diagonal entry makes ``np.linalg.inv``
+    raise LinAlgError.
     """
-    r = _as_2d(r, "r")
     n = r.shape[0]
-    if r.shape[1] != n:
-        raise DimensionMismatch(f"r must be square, got shape {r.shape}")
-    zero = np.flatnonzero(np.diag(r) == 0.0)
-    if zero.size:
-        raise SingularMatrix(
-            f"triangular factor has a zero diagonal entry at index {zero[0]}"
-        )
     inv = np.zeros((n, n))
     _invert_upper(np.triu(r), inv)
     return inv
@@ -406,7 +352,7 @@ def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
 
 
 def lu_factor_checked(c) -> float:
-    """The exact 1-norm reciprocal condition number of a small square c.
+    """The exact 1-norm reciprocal condition number of a nonempty square c.
 
     Returns ``rcond = 1 / cond_1(c)``, which numpy computes from an LU
     factorization of c with partial pivoting.
@@ -416,12 +362,7 @@ def lu_factor_checked(c) -> float:
     capacitance of an update, and the updated matrix appears
     rank-deficient.
     """
-    c = _as_2d(c, "c")
     p = c.shape[0]
-    if c.shape[1] != p:
-        raise DimensionMismatch(f"c must be square, got shape {c.shape}")
-    if p == 0:
-        raise DimensionMismatch("c must be nonempty")
     rcond = float(1.0 / np.linalg.cond(c, 1))
     threshold = p * EPS * CAP_GUARD
     if not rcond >= threshold:

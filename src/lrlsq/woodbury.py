@@ -162,14 +162,22 @@ def _require_finite(x: np.ndarray, name: str) -> None:
 
 
 def _base_matrix(a) -> np.ndarray:
-    """Validate a base matrix: 2-D, m >= n, finite."""
+    """Check the shape of a base matrix: 2-D, m >= n."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionMismatch(f"a must be a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < a.shape[1]:
         raise DimensionMismatch(f"base requires m >= n, got shape {a.shape}")
-    _require_finite(a, "a")
     return a
+
+
+def _conforming(upd: LowRankUpdate, m: int, n: int) -> None:
+    """Raise DimensionMismatch unless upd updates an m x n matrix."""
+    if upd.u.shape[0] != m or upd.v.shape[0] != n:
+        raise DimensionMismatch(
+            f"update of shapes u={upd.u.shape}, v={upd.v.shape} does not "
+            f"conform with base of shape ({m}, {n})"
+        )
 
 
 def updated_normal_residual(a, u, v, x, b) -> float:
@@ -222,6 +230,7 @@ def prepare(a, b=None) -> PreparedBase:
     RankDeficient when a lacks full column rank.
     """
     a = _base_matrix(a)
+    _require_finite(a, "a")
     m, n = a.shape
     b = _bound_rhs(b, m)
     r, qtb = kernels.cholesky_qr(a, b) or kernels.householder_qr(a, b)
@@ -283,12 +292,8 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
     full column rank, and NonFiniteValue when the capacitance overflows, as
     it does for a finite update far larger than a.
     """
+    _conforming(upd, base.m, base.n)
     u, v, r = upd.u, upd.v, upd.rank
-    if u.shape[0] != base.m or v.shape[0] != base.n:
-        raise DimensionMismatch(
-            f"update of shapes u={u.shape}, v={v.shape} does not conform "
-            f"with base of shape ({base.m}, {base.n})"
-        )
     with np.errstate(over="ignore", invalid="ignore"):
         uta = u.T @ base.a
         x_blk = np.hstack([v, uta.T])
@@ -408,12 +413,18 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     one m x n array. This is the correctness oracle and the timing
     baseline the update path is measured against.
 
-    Raises NonFiniteValue when a, u, v or b holds NaN or infinity (for a,
-    u and v through ``householder_qr``'s test of the factor), RankDeficient
-    when ``a + u v.T`` lacks full column rank, and DimensionMismatch when
-    a, u, v and b do not conform.
+    Its inputs are checked as ``prepare`` and ``LowRankUpdate`` check
+    them, except that the finiteness of a is read off the factor, through
+    ``householder_qr``'s screen, so the timed solve makes no extra pass
+    over a. Raises NonFiniteValue when a, u, v or b holds NaN or infinity,
+    RankDeficient when ``a + u v.T`` lacks full column rank, and
+    DimensionMismatch when a, u, v and b do not conform or the update's
+    rank r is not within 1 <= r <= n.
     """
-    b = np.asarray(b, dtype=np.float64)
-    _require_finite(b, "b")
-    r, qtb = kernels.householder_qr(a, b, u, v)
+    a = _base_matrix(a)
+    m, n = a.shape
+    b = _bound_rhs(np.asarray(b, dtype=np.float64), m)  # None fails the shape check
+    upd = LowRankUpdate(u, v)
+    _conforming(upd, m, n)
+    r, qtb = kernels.householder_qr(a, b, upd.u, upd.v)
     return kernels.solve_upper_triangular(r, qtb)

@@ -6,13 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrlsq.errors import (
-    DimensionMismatch,
-    NonFiniteValue,
-    RankDeficient,
-    SingularCapacitance,
-    SingularMatrix,
-)
+from lrlsq.errors import NonFiniteValue, RankDeficient, SingularCapacitance
 from lrlsq.kernels import (
     CAP_GUARD,
     COPY_BLOCK,
@@ -31,35 +25,39 @@ from oracles import numerical_rank, pinv_oracle
 
 # ---------------------------------------------------------------- qr_thin
 
+# r of a by each QR behind the screen: numpy's QR in qr_thin, and the
+# Householder QR that baseline_solve runs, which relies on the screen to
+# find a non-finite a. The tests below run both; only qr_thin forms q.
+R_OF = (lambda a: qr_thin(a).r, lambda a: householder_qr(a)[0])
+
+
 def test_qr_identity():
-    f = qr_thin(np.eye(4))
-    np.testing.assert_array_equal(f.q, np.eye(4))
-    np.testing.assert_array_equal(f.r, np.eye(4))
+    for r_of in R_OF:
+        np.testing.assert_array_equal(r_of(np.eye(4)), np.eye(4))
+    np.testing.assert_array_equal(qr_thin(np.eye(4)).q, np.eye(4))
 
 
 def test_qr_pythagorean_column():
-    f = qr_thin(np.array([[3.0], [4.0]]))
-    np.testing.assert_allclose(f.r, [[5.0]], rtol=1e-15)
+    a = np.array([[3.0], [4.0]])
+    for r_of in R_OF:
+        np.testing.assert_allclose(r_of(a), [[5.0]], rtol=1e-15)
+    f = qr_thin(a)
     np.testing.assert_allclose(f.q, [[0.6], [0.8]], rtol=1e-14)
     np.testing.assert_allclose(f.q.T @ f.q, [[1.0]], atol=1e-15)
-    np.testing.assert_allclose(f.q @ f.r, [[3.0], [4.0]], rtol=1e-15)
+    np.testing.assert_allclose(f.q @ f.r, a, rtol=1e-15)
 
 
 def test_qr_duplicated_columns_rank_deficient():
-    rng = np.random.default_rng(1)
-    col = rng.standard_normal((6, 1))
-    with pytest.raises(RankDeficient):
-        qr_thin(np.hstack([col, col]))
+    col = np.random.default_rng(1).standard_normal((6, 1))
+    for r_of in R_OF:
+        with pytest.raises(RankDeficient):
+            r_of(np.hstack([col, col]))
 
 
 def test_qr_zero_matrix_rank_deficient():
-    with pytest.raises(RankDeficient):
-        qr_thin(np.zeros((3, 2)))
-
-
-def test_qr_rejects_wide():
-    with pytest.raises(DimensionMismatch):
-        qr_thin(np.zeros((2, 3)))
+    for r_of in R_OF:
+        with pytest.raises(RankDeficient):
+            r_of(np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("m,n", [(5, 2), (30, 30), (80, 17), (200, 120), (150, 200 - 80)])
@@ -90,16 +88,18 @@ def test_qr_thin_leaves_input_untouched(order):
 def test_qr_non_finite_input(bad, pos):
     a = np.random.default_rng(8).standard_normal((20, 5))
     a[pos] = bad
-    with pytest.raises(NonFiniteValue):
-        qr_thin(a)
+    for r_of in R_OF:
+        with pytest.raises(NonFiniteValue):
+            r_of(a)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_qr_non_finite_entry_off_the_diagonal_of_r(bad):
     # Column 0 needs no reflection, so the bad entry lands in r[0, 1] only
     # and every diagonal entry of r stays finite.
-    with pytest.raises(NonFiniteValue):
-        qr_thin(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
+    for r_of in R_OF:
+        with pytest.raises(NonFiniteValue):
+            r_of(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------- householder_qr
@@ -168,14 +168,6 @@ def test_householder_qr_non_finite_rank_term(name, bad):
         householder_qr(rng.standard_normal((20, 4)), **args)
 
 
-def test_householder_qr_rejects_half_a_rank_term():
-    # Shapes of a whole (u, v) are checked through baseline_solve.
-    with pytest.raises(DimensionMismatch):
-        householder_qr(np.ones((20, 4)), None, np.ones((20, 2)))
-    with pytest.raises(DimensionMismatch):
-        householder_qr(np.ones((20, 4)), None, None, np.ones((4, 2)))
-
-
 def test_householder_qr_least_squares_hand_checked():
     # a = [e1, -e2] needs no reflection; the sign normalization makes
     # r = I and q = a, so q.T b = [3, 4].
@@ -183,13 +175,6 @@ def test_householder_qr_least_squares_hand_checked():
     r, qtb = householder_qr(a, np.array([3.0, -4.0, 5.0]))
     np.testing.assert_allclose(r, np.eye(2), atol=1e-15)
     np.testing.assert_allclose(qtb, [3.0, 4.0], atol=1e-15)
-
-
-def test_householder_qr_rejects_bad_b():
-    with pytest.raises(DimensionMismatch):
-        householder_qr(np.eye(3), np.ones(2))
-    with pytest.raises(DimensionMismatch):
-        householder_qr(np.eye(3), np.ones((3, 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -260,15 +245,6 @@ def test_cholesky_qr_declines_quietly(case):
     assert cholesky_qr(a, b) is None
 
 
-def test_cholesky_qr_rejects_bad_shapes():
-    with pytest.raises(DimensionMismatch):
-        cholesky_qr(np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatch):
-        cholesky_qr(np.eye(3), np.ones(2))
-    with pytest.raises(DimensionMismatch):
-        cholesky_qr(np.ones(3))
-
-
 # --------------------------------------------------- solve_upper_triangular
 
 def test_triangular_identity():
@@ -327,19 +303,6 @@ def test_triangular_leaves_b_untouched():
     assert not np.shares_memory(x, b)
 
 
-def test_triangular_zero_diagonal():
-    r = np.array([[1.0, 2.0], [0.0, 0.0]])
-    with pytest.raises(SingularMatrix):
-        solve_upper_triangular(r, np.ones(2))
-
-
-def test_triangular_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve_upper_triangular(np.eye(3), np.ones(2))
-    with pytest.raises(DimensionMismatch):
-        solve_upper_triangular(np.zeros((3, 2)), np.ones(3))
-
-
 def test_two_triangular_solves_invert_normal_matrix():
     # R^{-1} R^{-T} applied to c solves (a.T a) z = c.
     rng = np.random.default_rng(4)
@@ -396,19 +359,6 @@ def test_invert_upper_triangular_matches_trtri_on_graded_r(cond):
     assert np.linalg.norm(inv - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-def test_invert_upper_triangular_zero_diagonal():
-    r = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 1.0], [0.0, 0.0, 5.0]])
-    with pytest.raises(SingularMatrix, match="index 1"):
-        invert_upper_triangular(r)
-
-
-def test_invert_upper_triangular_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        invert_upper_triangular(np.ones((3, 2)))
-    with pytest.raises(DimensionMismatch):
-        invert_upper_triangular(np.ones(3))
-
-
 # ------------------------------------------------------- lu_factor_checked
 
 def test_lu_identity():
@@ -445,13 +395,6 @@ def test_lu_non_finite(bad):
     c[1, 2] = bad
     with pytest.raises(SingularCapacitance):
         lu_factor_checked(c)
-
-
-def test_lu_dimension_checks():
-    with pytest.raises(DimensionMismatch):
-        lu_factor_checked(np.zeros((2, 3)))
-    with pytest.raises(DimensionMismatch):
-        lu_factor_checked(np.zeros((0, 0)))
 
 
 # ------------------------------------------------------------- pinv_oracle

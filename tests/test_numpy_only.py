@@ -8,6 +8,7 @@ import numpy as np
 
 import lrlsq
 from lrlsq.cli import cli_main
+from lrlsq.kernels import TRIANGULAR_LEAF, cholesky_qr
 from lrlsq.mio import read_matrix, write_matrix
 from lrlsq.woodbury import (
     LowRankUpdate,
@@ -39,6 +40,12 @@ def _every_entry_point(out: Path) -> None:
     base = prepare(a, b)
     upd = LowRankUpdate(u, v)
     ws = build_workspace(base, upd)
+    # n > TRIANGULAR_LEAF takes the recursive inverse of R; a graded base
+    # of cond 1e10 fails CholeskyQR2's certificate and takes Householder.
+    wide = prepare(rng.standard_normal((4 * TRIANGULAR_LEAF, TRIANGULAR_LEAF + 6)))
+    graded = np.linalg.qr(rng.standard_normal((m, n)))[0] * np.geomspace(1.0, 1e-10, n)
+    assert cholesky_qr(graded, b) is None
+    graded = prepare(graded, b)
     for name, mat in [("a", a), ("b", b), ("u", u), ("v", v)]:
         write_matrix(str(out / f"{name}.mtx"), mat)
     args = ["solve", *(f"--{k}={out / k}.mtx" for k in "abuv"), f"--out={out / 'x'}.mtx"]
@@ -51,6 +58,9 @@ def _every_entry_point(out: Path) -> None:
         baseline=baseline_solve(a, u, v, b),
         pinv=pinv_update_explicit(a, u, v),
         cap_rcond=ws.cap_rcond,
+        wide_rinv=wide.rinv,
+        graded_rinv=graded.rinv,
+        graded_x0=graded.x0,
         cli=read_matrix(str(out / "x.mtx")),
     )
 
