@@ -2,9 +2,10 @@
 
 Prepare a tall full-rank base matrix once, then solve
 ``min ||b - (a + u v.T) x||_2`` for many updates and right-hand sides at a
-fraction of the cost of refactoring. See ``lrlsq.woodbury`` for the solver,
-``lrlsq.bench`` for the timing harness, and ``lrlsq.cli`` for the command
-line.
+fraction of the cost of refactoring; ``updated_normal_residual`` certifies
+any solution. See ``lrlsq.woodbury`` for the solver, ``lrlsq.bench`` for
+the timing harness, ``lrlsq.mio`` for the file formats, and ``lrlsq.cli``
+for the command line.
 """
 
 from .bench import BenchConfig, gen_gaussian, run_benchmark, stream_id
@@ -16,7 +17,7 @@ from .errors import (
     RankDeficient,
     SingularCapacitance,
 )
-from .mio import BenchRecord, CSV_HEADER, read_bench_csv, read_matrix, write_bench_csv, write_matrix
+from .mio import BenchRecord, CSV_HEADER, read_matrix, write_bench_csv, write_matrix
 from .woodbury import (
     LowRankUpdate,
     PreparedBase,
@@ -25,7 +26,6 @@ from .woodbury import (
     ata_solve,
     baseline_solve,
     build_workspace,
-    pinv_update_explicit,
     prepare,
     solve_many,
     solve_updated,
@@ -52,9 +52,7 @@ __all__ = [
     "baseline_solve",
     "build_workspace",
     "gen_gaussian",
-    "pinv_update_explicit",
     "prepare",
-    "read_bench_csv",
     "read_matrix",
     "run_benchmark",
     "solve_many",

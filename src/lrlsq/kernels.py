@@ -154,8 +154,9 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
     ------
     NonFiniteValue
         If r or qtb is not finite. Householder QR carries any NaN or
-        infinity of a (or of u and v) into r, so this tests the n x n
-        factor instead of making a pass over a.
+        infinity of a (or of u and v, or of an overflowing ``u @ v.T``)
+        into r, so this tests the n x n factor instead of making a pass
+        over a.
     RankDeficient
         If a is numerically rank-deficient: some
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``.
@@ -164,13 +165,15 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
     cols = n if b is None else n + 1
     # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
     qt = np.empty((cols, m))
-    for i in range(0, m, COPY_BLOCK):
-        dst = qt[:n, i:i + COPY_BLOCK]
-        if u is None:
-            dst[...] = a[i:i + COPY_BLOCK].T
-        else:
-            np.matmul(v, u[i:i + COPY_BLOCK].T, out=dst)
-            dst += a[i:i + COPY_BLOCK].T
+    # A finite update may overflow here; the screen below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, m, COPY_BLOCK):
+            dst = qt[:n, i:i + COPY_BLOCK]
+            if u is None:
+                dst[...] = a[i:i + COPY_BLOCK].T
+            else:
+                np.matmul(v, u[i:i + COPY_BLOCK].T, out=dst)
+                dst += a[i:i + COPY_BLOCK].T
     if b is not None:
         qt[n] = b
     tau = np.empty(min(m, cols))

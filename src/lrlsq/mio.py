@@ -6,8 +6,9 @@ a ``rows cols`` size line, then rows*cols values in column-major order.
 Values are written with 17 significant digits, so write -> read is
 value-exact for every finite double.
 
-Benchmark records travel as CSV with the frozen header ``CSV_HEADER``;
-column order is an external contract.
+Benchmark records travel as CSV under ``CSV_HEADER``, the field names of
+``BenchRecord`` in order; column order is an external contract. The
+package only writes them; reading them back is left to the consumer.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 from .errors import DimensionMismatch, MalformedHeader, NonFiniteValue
 
 MM_BANNER = "%%MatrixMarket matrix array real general"
-
-CSV_HEADER = "m,n,r,rep,seed,t_scratch_ns,t_woodbury_ns,speedup,rel_forward_error"
 
 
 @dataclass(frozen=True)
@@ -59,8 +58,14 @@ class BenchRecord:
             )
 
 
+CSV_HEADER = ",".join(f.name for f in fields(BenchRecord))
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a MatrixMarket dense array file into an (rows, cols) array.
+
+    Blank and ``%`` comment lines may come anywhere after the banner, and a
+    line may hold any number of values.
 
     Raises MalformedHeader on a bad banner, size line, or value token;
     DimensionMismatch when the value count disagrees with the declared
@@ -73,37 +78,22 @@ def read_matrix(path) -> np.ndarray:
             raise MalformedHeader(
                 f"expected banner {MM_BANNER!r}, got {banner.strip()!r}"
             )
-        size_line = None
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            size_line = stripped
-            break
-        if size_line is None:
+        lines = (ln for ln in map(str.strip, fh) if ln and not ln.startswith("%"))
+        line = next(lines, None)
+        if line is None:
             raise MalformedHeader("missing size line")
-        parts = size_line.split()
-        if len(parts) != 2:
-            raise MalformedHeader(f"size line must hold two integers, got {size_line!r}")
         try:
-            rows, cols = int(parts[0]), int(parts[1])
+            rows, cols = map(int, line.split())
         except ValueError:
             raise MalformedHeader(
-                f"size line must hold two integers, got {size_line!r}"
+                f"size line must hold two integers, got {line!r}"
             ) from None
         if rows < 1 or cols < 1:
             raise MalformedHeader(f"dimensions must be positive, got {rows} x {cols}")
-
-        values = []
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("%"):
-                continue
-            for tok in stripped.split():
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise MalformedHeader(f"unparseable value token {tok!r}") from None
+        try:
+            values = [float(tok) for ln in lines for tok in ln.split()]
+        except ValueError as err:
+            raise MalformedHeader(f"unparseable value token ({err})") from None
 
     if len(values) != rows * cols:
         raise DimensionMismatch(
@@ -141,39 +131,10 @@ def write_bench_csv(path, records) -> None:
     records = list(records)
     if not records:
         raise ValueError("no benchmark records to write")
-    names = [f.name for f in fields(BenchRecord)]
-    assert ",".join(names) == CSV_HEADER
+    names = CSV_HEADER.split(",")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(CSV_HEADER + "\n")
         for rec in records:
             row = [getattr(rec, name) for name in names]
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")
-
-
-def read_bench_csv(path) -> list[BenchRecord]:
-    """Parse a file produced by ``write_bench_csv`` back into records."""
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise MalformedHeader(
-                f"expected CSV header {CSV_HEADER!r}, got {header!r}"
-            )
-        records = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 9:
-                raise MalformedHeader(f"expected 9 CSV fields, got {len(parts)}")
-            try:
-                records.append(BenchRecord(
-                    m=int(parts[0]), n=int(parts[1]), r=int(parts[2]),
-                    rep=int(parts[3]), seed=int(parts[4]),
-                    t_scratch_ns=int(parts[5]), t_woodbury_ns=int(parts[6]),
-                    speedup=float(parts[7]), rel_forward_error=float(parts[8]),
-                ))
-            except ValueError as err:
-                raise MalformedHeader(f"bad CSV row {line!r}: {err}") from None
-    return records

@@ -34,6 +34,10 @@ solves. Skinny products are written with the skinny operand on the left,
 ``a.T @ c``, which is the faster layout for C-ordered ``a``: 2x-3x in
 OpenBLAS (see the README's performance note).
 
+The solves compute no certificate of their own: a caller that wants one
+runs ``updated_normal_residual``, the normal-equations residual of any x
+for ``a + u v.T``, at the price of two passes over ``a``.
+
 Every record here is immutable after construction, with no lazily built
 state, and the solve path is pure: one PreparedBase may serve many
 workspaces, and one workspace many right-hand sides, concurrently.
@@ -134,13 +138,11 @@ class SolveOutcome:
     """Solution of one updated least squares problem.
 
     cap_rcond is the workspace's capacitance condition diagnostic, in
-    (0, 1]. ne_residual, when requested, is ``||ahat.T (ahat x - b)||_2``
-    with ``ahat = a + u v.T``, the normal-equations certificate.
+    (0, 1]. :func:`updated_normal_residual` certifies x.
     """
 
     x: np.ndarray
     cap_rcond: float
-    ne_residual: Optional[float] = None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -230,10 +232,16 @@ def prepare(a, b=None) -> PreparedBase:
     RankDeficient when a lacks full column rank.
     """
     a = _base_matrix(a)
-    _require_finite(a, "a")
     m, n = a.shape
     b = _bound_rhs(b, m)
-    r, qtb = kernels.cholesky_qr(a, b) or kernels.householder_qr(a, b)
+    factors = kernels.cholesky_qr(a, b)
+    if factors is None:
+        # cholesky_qr declines on any NaN or infinity in a, which makes the
+        # matching diagonal entry of a.T a non-finite; only this path needs
+        # the pass over a that names it.
+        _require_finite(a, "a")
+        factors = kernels.householder_qr(a, b)
+    r, qtb = factors
     rinv = _freeze(kernels.invert_upper_triangular(r))
     x0 = None
     if b is not None:
@@ -331,7 +339,7 @@ def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
 
 
 def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
-                  b, check_residual: bool = False) -> SolveOutcome:
+                  b) -> SolveOutcome:
     """Minimize ``||b - (a + u v.T) x||_2`` using the prepared state.
 
     The solve runs
@@ -344,8 +352,8 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     stay O(r)-sized: yt @ w first, then the capacitance solve, then one
     n x 2r product.
 
-    With ``check_residual`` the outcome carries the normal-equations
-    residual of x as a certificate (costs two extra passes over a).
+    ``updated_normal_residual(base.a, upd.u, upd.v, x, b)`` certifies x
+    (two passes over a).
 
     Raises NonFiniteValue when b is not the bound right-hand side and holds
     NaN or infinity.
@@ -355,9 +363,7 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
         raise DimensionMismatch(
             f"b must be a length-{base.m} vector, got shape {b.shape}"
         )
-    x = _solve(base, upd, ws, b)
-    ne = updated_normal_residual(base.a, upd.u, upd.v, x, b) if check_residual else None
-    return SolveOutcome(x=x, cap_rcond=ws.cap_rcond, ne_residual=ne)
+    return SolveOutcome(x=_solve(base, upd, ws, b), cap_rcond=ws.cap_rcond)
 
 
 def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
@@ -383,24 +389,6 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     if bs.shape[1] < 1:
         raise DimensionMismatch("bs must have at least one column")
     return _solve(base, upd, ws, bs)
-
-
-def pinv_update_explicit(a, u, v) -> np.ndarray:
-    """Explicit n x m pseudoinverse of ``a + u @ v.T`` via the update path.
-
-    Column j of the pseudoinverse is the updated least squares solution for
-    the unit vector ``e_j``, so this is one ``solve_many`` call on the m x m
-    identity. It materializes dense m x m and n x m matrices, so it is
-    meant for validation at modest sizes (roughly m <= 500), not for
-    solving.
-
-    Raises RankDeficient (base rank-deficient) or SingularCapacitance
-    (update kills full rank).
-    """
-    upd = LowRankUpdate(u, v)
-    base = prepare(a)
-    ws = build_workspace(base, upd)
-    return solve_many(base, upd, ws, np.eye(base.m))
 
 
 def baseline_solve(a, u, v, b) -> np.ndarray:

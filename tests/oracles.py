@@ -1,8 +1,13 @@
-"""Test-scale reference routines the library itself does not need."""
+"""Test-scale reference routines the library itself does not need: the
+pseudoinverse references, a numerical rank, and the reader of benchmark
+CSV files."""
 
 import numpy as np
 
+from lrlsq.errors import MalformedHeader
 from lrlsq.kernels import qr_thin, solve_upper_triangular
+from lrlsq.mio import CSV_HEADER, BenchRecord
+from lrlsq.woodbury import LowRankUpdate, build_workspace, prepare, solve_many
 
 
 def pinv_oracle(a) -> np.ndarray:
@@ -16,6 +21,24 @@ def pinv_oracle(a) -> np.ndarray:
     return solve_upper_triangular(f.r, f.q.T)
 
 
+def pinv_update_explicit(a, u, v) -> np.ndarray:
+    """Explicit n x m pseudoinverse of ``a + u @ v.T`` via the update path.
+
+    Column j of the pseudoinverse is the updated least squares solution for
+    the unit vector ``e_j``, so this is one ``solve_many`` call on the m x m
+    identity. It materializes dense m x m and n x m matrices, so it is
+    meant for validation at modest sizes (roughly m <= 500), not for
+    solving; ``pinv_oracle`` is its reference.
+
+    Raises RankDeficient (base rank-deficient) or SingularCapacitance
+    (update kills full rank).
+    """
+    upd = LowRankUpdate(u, v)
+    base = prepare(a)
+    ws = build_workspace(base, upd)
+    return solve_many(base, upd, ws, np.eye(base.m))
+
+
 def numerical_rank(a, tol: float) -> int:
     """Number of singular values exceeding ``tol`` times the largest one."""
     if tol < 0:
@@ -27,3 +50,31 @@ def numerical_rank(a, tol: float) -> int:
     if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
+
+
+def read_bench_csv(path) -> list[BenchRecord]:
+    """Parse a file produced by ``lrlsq.mio.write_bench_csv`` back into records."""
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise MalformedHeader(
+                f"expected CSV header {CSV_HEADER!r}, got {header!r}"
+            )
+        records = []
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 9:
+                raise MalformedHeader(f"expected 9 CSV fields, got {len(parts)}")
+            try:
+                records.append(BenchRecord(
+                    m=int(parts[0]), n=int(parts[1]), r=int(parts[2]),
+                    rep=int(parts[3]), seed=int(parts[4]),
+                    t_scratch_ns=int(parts[5]), t_woodbury_ns=int(parts[6]),
+                    speedup=float(parts[7]), rel_forward_error=float(parts[8]),
+                ))
+            except ValueError as err:
+                raise MalformedHeader(f"bad CSV row {line!r}: {err}") from None
+    return records

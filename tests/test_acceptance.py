@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import draw_family, draw_instance, rank_drop_instance
-from oracles import numerical_rank, pinv_oracle
+from oracles import numerical_rank, pinv_oracle, pinv_update_explicit, read_bench_csv
 from lrlsq.bench import ROLE_A, ROLE_B, ROLE_U, ROLE_V, BenchConfig, gen_gaussian, run_benchmark, stream_id
 from lrlsq.errors import SingularCapacitance
 from lrlsq.mio import (
     CSV_HEADER,
     BenchRecord,
-    read_bench_csv,
     read_matrix,
     write_bench_csv,
     write_matrix,
@@ -28,7 +27,6 @@ from lrlsq.woodbury import (
     LowRankUpdate,
     baseline_solve,
     build_workspace,
-    pinv_update_explicit,
     prepare,
     solve_many,
     solve_updated,

@@ -16,7 +16,8 @@ from lrlsq.bench import (
     stream_id,
 )
 from lrlsq.errors import RankDeficient
-from lrlsq.mio import read_bench_csv, write_bench_csv
+from lrlsq.mio import write_bench_csv
+from oracles import read_bench_csv
 
 
 # ------------------------------------------------------------ gen_gaussian

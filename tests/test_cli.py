@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from lrlsq.cli import cli_main
-from lrlsq.mio import read_bench_csv, read_matrix, write_matrix
+from lrlsq.mio import read_matrix, write_matrix
+from oracles import read_bench_csv
 
 A32 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 B32 = np.array([3.0, 4.0, 5.0])

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import lrlsq
+from oracles import pinv_update_explicit
 from lrlsq.cli import cli_main
 from lrlsq.kernels import TRIANGULAR_LEAF, cholesky_qr
 from lrlsq.mio import read_matrix, write_matrix
@@ -14,7 +15,6 @@ from lrlsq.woodbury import (
     LowRankUpdate,
     baseline_solve,
     build_workspace,
-    pinv_update_explicit,
     prepare,
     solve_many,
     solve_updated,

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from conftest import draw_family, draw_instance, rank_drop_instance
-from oracles import numerical_rank, pinv_oracle
+from oracles import numerical_rank, pinv_oracle, pinv_update_explicit
 from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
 from lrlsq import kernels, woodbury
 from lrlsq.kernels import GRAM_BLOCK, qr_thin, solve_upper_triangular
@@ -19,7 +19,6 @@ from lrlsq.woodbury import (
     base_lstsq,
     baseline_solve,
     build_workspace,
-    pinv_update_explicit,
     prepare,
     solve_many,
     solve_updated,
@@ -399,6 +398,25 @@ def test_declined_prepare_is_householder_prepare(case, monkeypatch):
     np.testing.assert_array_equal(got.x0, want.x0)
 
 
+def test_prepare_reads_finiteness_of_a_only_on_householder_path(monkeypatch):
+    # A certified CholeskyQR2 already vouches that a is finite; only the
+    # Householder fallback screens a itself.
+    calls = []
+    real = woodbury._require_finite
+
+    def counting(x, name):
+        calls.append(name)
+        return real(x, name)
+
+    monkeypatch.setattr(woodbury, "_require_finite", counting)
+    rng = np.random.default_rng(42)
+    b = rng.standard_normal(400)
+    prepare(rng.standard_normal((400, 40)), b)
+    assert calls.count("a") == 0
+    prepare(_graded(rng, 400, 40, 1e10)[0], b)
+    assert calls.count("a") == 1
+
+
 @pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (12, 1), (30, 5)])
 @pytest.mark.parametrize("with_b", [True, False])
 def test_prepare_edge_shapes(m, n, with_b):
@@ -483,12 +501,12 @@ def test_normal_equations_certificate():
     rng = np.random.default_rng(19)
     for a, b, u, v, base, ws in draw_family(rng, 25):
         upd = LowRankUpdate(u, v)
-        out = solve_updated(base, upd, ws, b, check_residual=True)
+        x = solve_updated(base, upd, ws, b).x
         ahat_norm = np.linalg.norm(a + u @ v.T)
         bound = 1e-10 * ahat_norm**2 * (
-            np.linalg.norm(out.x) + np.linalg.norm(b) / ahat_norm
+            np.linalg.norm(x) + np.linalg.norm(b) / ahat_norm
         )
-        assert out.ne_residual <= bound
+        assert updated_normal_residual(a, u, v, x, b) <= bound
 
 
 @pytest.mark.filterwarnings("error")
@@ -508,8 +526,8 @@ def test_normal_equations_certificate_at_extreme_scale():
     assert abs(got - want) <= 1e-12 * want
     base = prepare(s * a)
     upd = LowRankUpdate(u, s * v)
-    out = solve_updated(base, upd, build_workspace(base, upd), b, check_residual=True)
-    assert np.isfinite(out.ne_residual)
+    x = solve_updated(base, upd, build_workspace(base, upd), b).x
+    assert np.isfinite(updated_normal_residual(s * a, u, s * v, x, b))
 
 
 def test_solve_with_fresh_rhs_recomputes_base_solution():
@@ -748,6 +766,17 @@ def test_baseline_rejects_non_finite_input(name, bad):
     with pytest.raises(NonFiniteValue,
                        match=r"a \+ u v\.T" if name == "a" else f"{name} contains"):
         baseline_solve(**args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_baseline_overflowing_update_raises_without_warning():
+    # Finite u and v whose product u v.T overflows.
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((20, 5))
+    u = 1e200 * rng.standard_normal((20, 2))
+    v = 1e200 * rng.standard_normal((5, 2))
+    with pytest.raises(NonFiniteValue, match=r"a \+ u v\.T"):
+        baseline_solve(a, u, v, rng.standard_normal(20))
 
 
 def test_rank_drop_instances_raise_singular_capacitance():
