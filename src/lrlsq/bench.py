@@ -89,13 +89,18 @@ class BenchConfig:
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
         if not self.n_list or not self.r_list:
             raise ValueError("n_list and r_list must be nonempty")
-        if not self.m >= max(self.n_list) >= max(self.r_list) >= 1:
+        # Every (n, r) pair of the grid must be a valid instance, not only
+        # the largest of each.
+        if not (self.m >= max(self.n_list) and min(self.n_list) >= max(self.r_list)
+                and min(self.r_list) >= 1):
             raise ValueError(
-                f"require m >= max(n_list) >= max(r_list) >= 1, got "
-                f"m={self.m}, n_list={self.n_list}, r_list={self.r_list}"
+                f"require m >= max(n_list), min(n_list) >= max(r_list) and "
+                f"min(r_list) >= 1, got m={self.m}, n_list={self.n_list}, "
+                f"r_list={self.r_list}"
             )
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps}")
+        # stream_id holds rep in _REP_BITS bits.
+        if not 1 <= self.reps <= 2**_REP_BITS:
+            raise ValueError(f"reps must be in [1, {2**_REP_BITS}], got {self.reps}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
@@ -143,7 +148,7 @@ def run_benchmark(cfg: BenchConfig) -> list[BenchRecord]:
                     records.append(BenchRecord(
                         m=cfg.m, n=n, r=r, rep=rep, seed=cfg.seed,
                         t_scratch_ns=t_scratch, t_woodbury_ns=t_upd,
-                        speedup=t_scratch / t_upd, rel_forward_error=rel,
+                        rel_forward_error=rel,
                     ))
             except LrlsqError as err:
                 wrapped = type(err)(

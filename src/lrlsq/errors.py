@@ -22,17 +22,10 @@ class SingularCapacitance(LrlsqError):
 
 
 class ConvergenceFailure(LrlsqError):
-    """An iterative solve missed its residual target within the iteration cap.
+    """An iterative solve missed its residual target within its step cap.
 
-    Carries per-column diagnostics: ``iterations`` (steps taken) and
-    ``residuals`` (achieved relative residual norms), aligned with the
-    right-hand-side columns.
+    The message names the right-hand-side columns that failed.
     """
-
-    def __init__(self, message, iterations=None, residuals=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residuals = residuals
 
 
 class MalformedHeader(LrlsqError):

@@ -34,6 +34,10 @@ solves. Skinny products are written with the skinny operand on the left,
 ``a.T @ c``, which is the faster layout for C-ordered ``a``: 2x-3x in
 OpenBLAS (see the README's performance note).
 
+``prepare``, ``LowRankUpdate``, ``ata_solve`` and the solvers take their
+arrays as float64 and raise TypeError for a complex one rather than drop
+its imaginary part.
+
 The solves compute no certificate of their own: a caller that wants one
 runs ``updated_normal_residual``, the normal-equations residual of any x
 for ``a + u v.T``, at the price of two passes over ``a``.
@@ -87,8 +91,8 @@ class LowRankUpdate:
     v: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
+        u = _real(self.u, "u")
+        v = _real(self.v, "v")
         if u.ndim != 2 or v.ndim != 2:
             raise DimensionMismatch("u and v must be 2-D matrices")
         if u.shape[1] != v.shape[1]:
@@ -150,6 +154,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _real(x, name: str) -> np.ndarray:
+    """x as a float64 array; raises TypeError when x is complex, whose
+    imaginary part the conversion would drop."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise TypeError(f"{name} must be real, got dtype {x.dtype}")
+    return np.asarray(x, dtype=np.float64)
+
+
 def _require_finite(x: np.ndarray, name: str) -> None:
     """Raise NonFiniteValue if x holds NaN or infinity.
 
@@ -165,7 +178,7 @@ def _require_finite(x: np.ndarray, name: str) -> None:
 
 def _base_matrix(a) -> np.ndarray:
     """Check the shape of a base matrix: 2-D, m >= n."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _real(a, "a")
     if a.ndim != 2:
         raise DimensionMismatch(f"a must be a 2-D matrix, got ndim={a.ndim}")
     if a.shape[0] < a.shape[1]:
@@ -200,7 +213,7 @@ def _bound_rhs(b, m: int) -> Optional[np.ndarray]:
     """
     if b is None:
         return None
-    b = np.asarray(b, dtype=np.float64)
+    b = _real(b, "b")
     if b.ndim != 1 or b.shape[0] != m:
         raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
     _require_finite(b, "b")
@@ -256,7 +269,7 @@ def ata_solve(base: PreparedBase, c) -> np.ndarray:
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
     """
-    c = np.asarray(c, dtype=np.float64)
+    c = _real(c, "c")
     if c.shape[0] != base.n:
         raise DimensionMismatch(
             f"c must have {base.n} rows to conform with the base, got shape {c.shape}"
@@ -358,7 +371,7 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     Raises NonFiniteValue when b is not the bound right-hand side and holds
     NaN or infinity.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = _real(b, "b")
     if b.ndim != 1 or b.shape[0] != base.m:
         raise DimensionMismatch(
             f"b must be a length-{base.m} vector, got shape {b.shape}"
@@ -381,7 +394,7 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
 
     Raises NonFiniteValue when any column holds NaN or infinity.
     """
-    bs = np.asarray(bs, dtype=np.float64)
+    bs = _real(bs, "bs")
     if bs.ndim != 2 or bs.shape[0] != base.m:
         raise DimensionMismatch(
             f"bs must be an ({base.m}, k) matrix, got shape {bs.shape}"
@@ -411,7 +424,7 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     """
     a = _base_matrix(a)
     m, n = a.shape
-    b = _bound_rhs(np.asarray(b, dtype=np.float64), m)  # None fails the shape check
+    b = _bound_rhs(_real(b, "b"), m)  # None fails the shape check
     upd = LowRankUpdate(u, v)
     _conforming(upd, m, n)
     r, qtb = kernels.householder_qr(a, b, upd.u, upd.v)

@@ -53,7 +53,11 @@ def numerical_rank(a, tol: float) -> int:
 
 
 def read_bench_csv(path) -> list[BenchRecord]:
-    """Parse a file produced by ``lrlsq.mio.write_bench_csv`` back into records."""
+    """Parse a file produced by ``lrlsq.mio.write_bench_csv`` back into records.
+
+    Raises MalformedHeader on a foreign header, a bad row, or a speedup
+    column that is not the ratio of the row's timings.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
@@ -69,12 +73,20 @@ def read_bench_csv(path) -> list[BenchRecord]:
             if len(parts) != 9:
                 raise MalformedHeader(f"expected 9 CSV fields, got {len(parts)}")
             try:
-                records.append(BenchRecord(
+                rec = BenchRecord(
                     m=int(parts[0]), n=int(parts[1]), r=int(parts[2]),
                     rep=int(parts[3]), seed=int(parts[4]),
                     t_scratch_ns=int(parts[5]), t_woodbury_ns=int(parts[6]),
-                    speedup=float(parts[7]), rel_forward_error=float(parts[8]),
-                ))
+                    rel_forward_error=float(parts[8]),
+                )
+                speedup = float(parts[7])
             except ValueError as err:
                 raise MalformedHeader(f"bad CSV row {line!r}: {err}") from None
+            # The writer stores repr(speedup), which reads back exactly.
+            if speedup != rec.speedup:
+                raise MalformedHeader(
+                    f"CSV row {line!r}: speedup {speedup!r} is not "
+                    f"t_scratch_ns / t_woodbury_ns = {rec.speedup!r}"
+                )
+            records.append(rec)
     return records

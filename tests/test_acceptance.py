@@ -6,7 +6,6 @@ factor the base matrix at m = 20000, so this module takes a few minutes on
 one core.
 """
 
-import os
 import time
 
 import numpy as np
@@ -240,7 +239,7 @@ def test_criterion_8_io_contracts(tmp_path):
             m=int(rng.integers(1, 10**6)), n=int(rng.integers(1, 10**4)),
             r=int(rng.integers(1, 100)), rep=rep,
             seed=int(rng.integers(0, 2**64, dtype=np.uint64)),
-            t_scratch_ns=ts, t_woodbury_ns=tw, speedup=ts / tw,
+            t_scratch_ns=ts, t_woodbury_ns=tw,
             rel_forward_error=float(np.abs(rng.standard_normal())) * 1e-13,
         ))
     csv_path = tmp_path / "records.csv"
@@ -256,8 +255,6 @@ def test_criterion_8_io_contracts(tmp_path):
             time.perf_counter() - start, 5.0)
 
 
-@pytest.mark.skipif(os.environ.get("LRLSQ_FULL_SCALE") != "1",
-                    reason="set LRLSQ_FULL_SCALE=1 to run the m=1e5 check (~2 GB RAM)")
 def test_full_scale_forward_error():
     # The published experiment's scale: m=1e5, n=500, r=20; forward error
     # of the update path vs scratch QR stays below 3e-14 there.

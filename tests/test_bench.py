@@ -82,6 +82,15 @@ def test_config_validation():
         BenchConfig(m=50, n_list=[10], r_list=[2], reps=0, seed=0)
     with pytest.raises(ValueError):
         BenchConfig(m=50, n_list=[], r_list=[2], reps=1, seed=0)
+    # every (n, r) pair of the grid must be an instance, not only the largest
+    with pytest.raises(ValueError, match=r"min\(n_list\) >= max\(r_list\)"):
+        BenchConfig(m=40, n_list=[5, 3], r_list=[4], reps=1, seed=0)
+    with pytest.raises(ValueError, match=r"min\(r_list\) >= 1"):
+        BenchConfig(m=50, n_list=[10], r_list=[0, 2], reps=1, seed=0)
+    # stream_id holds rep in 16 bits
+    assert BenchConfig(m=50, n_list=[10], r_list=[2], reps=2**16, seed=0).reps == 2**16
+    with pytest.raises(ValueError, match="reps"):
+        BenchConfig(m=50, n_list=[10], r_list=[2], reps=2**16 + 1, seed=0)
 
 
 # ----------------------------------------------------------- run_benchmark

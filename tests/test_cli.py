@@ -132,6 +132,16 @@ def test_bench_rejects_inconsistent_grid(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bench_rejects_grid_with_invalid_pair(tmp_path, capsys):
+    # n = 3 < r = 4 fails before any instance is timed, and writes no CSV.
+    out = tmp_path / "x.csv"
+    rc = cli_main(["bench", "--m", "40", "--n-list", "5,3", "--r-list", "4",
+                   "--reps", "1", "--seed", "0", "--out", str(out)])
+    assert rc == 3
+    assert "min(n_list) >= max(r_list)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_bad_list_is_usage_error(capsys):
     rc = cli_main(["bench", "--m", "60", "--n-list", "8,potato", "--r-list", "2",
                    "--reps", "1", "--seed", "0", "--out", "x.csv"])

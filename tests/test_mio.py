@@ -143,7 +143,7 @@ def test_round_trip_is_value_exact(tmp_path, mat):
 def _record(**overrides):
     base = dict(m=100, n=10, r=2, rep=0, seed=42,
                 t_scratch_ns=2000, t_woodbury_ns=400,
-                speedup=5.0, rel_forward_error=1e-15)
+                rel_forward_error=1e-15)
     base.update(overrides)
     return BenchRecord(**base)
 
@@ -169,7 +169,7 @@ def test_csv_round_trip(tmp_path):
     records = [
         _record(rep=0),
         _record(rep=1, t_scratch_ns=12345678901, t_woodbury_ns=7,
-                speedup=12345678901 / 7, rel_forward_error=2.5e-13),
+                rel_forward_error=2.5e-13),
         _record(rep=2, seed=2**64 - 1),
     ]
     path = tmp_path / "bench.csv"
@@ -184,11 +184,21 @@ def test_csv_rejects_foreign_header(tmp_path):
         read_bench_csv(path)
 
 
+def test_csv_rejects_inconsistent_speedup(tmp_path):
+    assert _record().speedup == 5.0  # derived from the timings
+    path = tmp_path / "bench.csv"
+    write_bench_csv(path, [_record()])
+    header, row = path.read_text().splitlines()
+    fields = row.split(",")
+    fields[7] = "7.0"
+    path.write_text(f"{header}\n{','.join(fields)}\n")
+    with pytest.raises(MalformedHeader, match="speedup"):
+        read_bench_csv(path)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         _record(rel_forward_error=-1.0)
-    with pytest.raises(ValueError):
-        _record(speedup=7.0)  # inconsistent with timings
     with pytest.raises(ValueError):
         _record(seed=-1)
     with pytest.raises(ValueError):
@@ -205,7 +215,7 @@ def test_record_validation():
 def test_csv_round_trip_property(tmp_path, t_scratch, t_upd, err, seed):
     rec = BenchRecord(m=7, n=3, r=1, rep=0, seed=seed,
                       t_scratch_ns=t_scratch, t_woodbury_ns=t_upd,
-                      speedup=t_scratch / t_upd, rel_forward_error=err)
+                      rel_forward_error=err)
     path = tmp_path / "one.csv"
     write_bench_csv(path, [rec])
     assert read_bench_csv(path) == [rec]

@@ -562,6 +562,30 @@ def test_solve_rejects_non_finite_fresh_rhs(bad):
     assert np.all(np.isfinite(solve_updated(base, upd, ws, b).x))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["a", "b", "u", "v", "fresh b", "bs", "c"])
+def test_complex_input_raises_type_error(name):
+    # Converting a complex input to float64 would drop its imaginary part.
+    rng = np.random.default_rng(22)
+    a, b, u, v, base, ws = draw_instance(rng, 20, 5, 2)
+    upd = LowRankUpdate(u, v)
+    real = {"a": a, "b": b, "u": u, "v": v, "fresh b": rng.standard_normal(20),
+            "bs": rng.standard_normal((20, 3)), "c": ws.x_blk}[name]
+    bad = real * (1 + 1j)
+    calls = {
+        "a": [lambda: prepare(bad, b), lambda: baseline_solve(bad, u, v, b)],
+        "b": [lambda: prepare(a, bad), lambda: baseline_solve(a, u, v, bad)],
+        "u": [lambda: LowRankUpdate(bad, v), lambda: baseline_solve(a, bad, v, b)],
+        "v": [lambda: LowRankUpdate(u, bad), lambda: baseline_solve(a, u, bad, b)],
+        "fresh b": [lambda: solve_updated(base, upd, ws, bad)],
+        "bs": [lambda: solve_many(base, upd, ws, bad)],
+        "c": [lambda: ata_solve(base, bad)],
+    }[name]
+    for call in calls:
+        with pytest.raises(TypeError, match=f"^{name.split()[-1]} must be real, got dtype complex128$"):
+            call()
+
+
 def test_workspace_arrays_frozen():
     _, base, upd, ws = _solve(A32, B32, U32, V32)
     with pytest.raises(ValueError):
