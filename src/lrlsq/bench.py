@@ -98,9 +98,11 @@ class BenchConfig:
                 f"min(r_list) >= 1, got m={self.m}, n_list={self.n_list}, "
                 f"r_list={self.r_list}"
             )
-        # stream_id holds rep in _REP_BITS bits.
+        # stream_id holds rep in _REP_BITS bits and r in _R_BITS.
         if not 1 <= self.reps <= 2**_REP_BITS:
             raise ValueError(f"reps must be in [1, {2**_REP_BITS}], got {self.reps}")
+        if not max(self.r_list) < 2**_R_BITS:
+            raise ValueError(f"r_list entries must be below {2**_R_BITS}, got {max(self.r_list)}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 

@@ -71,11 +71,15 @@ def normal_cg_solve(a, c):
     c is an n x q block. Returns ``(z, steps)``: z has c's shape, and
     steps[j] counts the CG steps of column j.
 
-    Raises DimensionMismatch when c is not an n x q block, NonFiniteValue
+    Raises TypeError when c is complex, as ``lrlsq.woodbury``'s functions
+    do, DimensionMismatch when c is not an n x q block, NonFiniteValue
     when c holds NaN or infinity, and ConvergenceFailure, naming the
     columns, when any column misses ``TOL`` within the step cap.
     """
     n = a.shape[1]
+    c = np.asarray(c)
+    if np.iscomplexobj(c):
+        raise TypeError(f"c must be real, got dtype {c.dtype}")
     c = np.asarray(c, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != n:
         raise DimensionMismatch(

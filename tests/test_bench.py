@@ -91,6 +91,11 @@ def test_config_validation():
     assert BenchConfig(m=50, n_list=[10], r_list=[2], reps=2**16, seed=0).reps == 2**16
     with pytest.raises(ValueError, match="reps"):
         BenchConfig(m=50, n_list=[10], r_list=[2], reps=2**16 + 1, seed=0)
+    # ... and r in 16 bits
+    big = 2**16 - 1
+    assert BenchConfig(m=big, n_list=[big], r_list=[big], reps=1, seed=0).r_list == (big,)
+    with pytest.raises(ValueError, match="r_list entries must be below 65536"):
+        BenchConfig(m=70000, n_list=[70000], r_list=[2**16], reps=1, seed=0)
 
 
 # ----------------------------------------------------------- run_benchmark

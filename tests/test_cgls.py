@@ -90,6 +90,13 @@ def test_dimension_and_config_validation():
         normal_cg_solve(np.eye(3), np.array([[1.0], [np.nan], [0.0]]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_complex_rhs_raises_type_error():
+    # Cast to float64 it would lose its imaginary part with a ComplexWarning.
+    with pytest.raises(TypeError, match="c must be real, got dtype complex128"):
+        normal_cg_solve(np.eye(3), (1 + 1j) * np.ones((3, 1)))
+
+
 def test_matrix_free_contract():
     rng = np.random.default_rng(33)
     mat = rng.standard_normal((30, 6))

@@ -752,10 +752,11 @@ def test_factorization_holds_one_buffer(fn):
     # tracemalloc sees numpy's buffers. Householder QR factors [. | b] in
     # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
     # it, with no m x n temporaries of its own. prepare's CholeskyQR2 makes
-    # no such buffer: beside a few n x n arrays it streams a through one
-    # block of at most GRAM_BLOCK x n. When it declines, prepare drops
-    # Householder's buffer before it inverts R, so R and that inversion's
-    # n x n arrays never sit beside it.
+    # no such buffer: it holds about four n x n arrays, or two, a panel of
+    # G2 and its one row block of 2n rows (at least 512, at most
+    # GRAM_BLOCK). When it declines, prepare drops Householder's buffer
+    # before it inverts R, so R and that inversion's n x n arrays never sit
+    # beside it.
     rng = np.random.default_rng(37)
     m, n = (6000, 200) if fn == "prepare_ill_conditioned" else (3000, 100)
     a = rng.standard_normal((m, n))
@@ -767,8 +768,9 @@ def test_factorization_holds_one_buffer(fn):
             "prepare": lambda: prepare(a, b),
             "prepare_ill_conditioned": lambda: prepare(ill, b)}[fn]
     buffer = (n + 1) * m * 8
+    rows = min(GRAM_BLOCK, max(512, 2 * n), m)
     bound = {"baseline_solve": 1.25 * buffer,
-             "prepare": 8 * (6 * n * n + GRAM_BLOCK * n),
+             "prepare": 8 * (4 * n * n + rows * n),
              "prepare_ill_conditioned": buffer + 2 * n * n * 8}[fn]
     tracemalloc.start()
     try:
@@ -777,6 +779,30 @@ def test_factorization_holds_one_buffer(fn):
     finally:
         tracemalloc.stop()
     assert peak <= bound
+
+
+@pytest.mark.parametrize("m,n", [(3000, 100), (3000, 600)])
+def test_cholesky_qr_frees_row_block_before_back_substitution(m, n, monkeypatch):
+    # When cholesky_qr solves for Q'b, it holds R1^{-1}, L2 and L2
+    # reversed, and q1tb: the row block and G2 are gone.
+    rng = np.random.default_rng(44)
+    a = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    held = []
+    real = kernels.solve_upper_triangular
+
+    def recording(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(kernels, "solve_upper_triangular", recording)
+    tracemalloc.start()
+    try:
+        assert kernels.cholesky_qr(a, b) is not None
+    finally:
+        tracemalloc.stop()
+    # 3 n^2 doubles, q1tb's n and a few Python objects.
+    assert len(held) == 1 and held[0] <= 8 * (3 * n * n + n) + 4096
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
