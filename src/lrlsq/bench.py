@@ -4,8 +4,10 @@ For every (n, r) configuration the harness generates a Gaussian base matrix
 and right-hand side, prepares the base once, then for each repetition draws
 a fresh Gaussian update and times both routes:
 
-* scratch: assemble ``a + u v.T``, thin-QR it, back-substitute; everything
-  downstream of the update, factorization included;
+* scratch: ``baseline_solve``, which runs Householder QR on
+  ``[a + u v.T | b]``, written block by block into its one buffer, then
+  takes ``R^{-1} (Q.T b)``; everything downstream of the update,
+  factorization included;
 * update: build the workspace and solve, with base preparation excluded
   (its reuse is the whole premise).
 

@@ -11,17 +11,19 @@ exchange is column-major (see ``lrlsq.mio``); in-memory stride order is
 whatever the underlying routine produces.
 
 There are two base QRs with one contract: each takes a tall a and an
-optional length-m b, and returns the tuple ``(r, qtb)``, r upper
-triangular with a nonnegative diagonal and qtb ``q.T @ b`` (None without
-b), without forming q. One screen serves both: r and qtb must be finite
-and r must pass a rank test. ``cholesky_qr`` runs certified CholeskyQR2:
-two Gram passes over a, in row blocks, with no m x n copy. It returns None
-when it cannot certify that its r is as good as a Householder r, that is,
-when a is ill-conditioned for its size, or when its r fails the screen.
-``householder_qr`` always applies and raises from the screen. It factors
-a, or ``[a | b]``, optionally with a rank-r term ``u @ v.T`` added to a,
-in one Fortran-ordered copy that it frees on return.
-``woodbury.prepare`` tries ``cholesky_qr`` first and falls back to
+optional length-m b, and returns the tuple ``(rinv, qtb)``, the inverse of
+the upper-triangular factor r, whose diagonal is positive, and qtb
+``q.T @ b`` (None without b), without forming q. The package applies r
+only through products with its inverse, so ``x = rinv @ qtb`` is the
+least squares solution for b. ``cholesky_qr`` runs certified
+CholeskyQR2: two Gram passes over a, in row blocks, with no m x n copy.
+It returns None when it cannot certify that its r is as good as a
+Householder r, that is, when a is ill-conditioned for its size, or when
+its result is not finite. ``householder_qr`` always applies and raises
+from ``_screen``: r and qtb must be finite and r must pass a rank test.
+It factors a, or ``[a | b]``, optionally with a rank-r term ``u @ v.T``
+added to a, in one Fortran-ordered copy that it frees before it inverts
+r. ``woodbury.prepare`` tries ``cholesky_qr`` first and falls back to
 ``householder_qr``. The from-scratch comparator ``baseline_solve`` stays
 on Householder alone: it needs no certificate, and the measured speedups
 are quoted against it.
@@ -53,8 +55,8 @@ SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 # 256 x n block of a and its n x 256 image stay in the caches together.
 COPY_BLOCK = 256
 
-# Columns of the largest diagonal block that ``solve_upper_triangular`` and
-# ``invert_upper_triangular`` hand to ``np.linalg.solve`` or ``np.linalg.inv``.
+# Columns of the largest diagonal block that ``invert_upper_triangular``
+# hands to ``np.linalg.inv``.
 TRIANGULAR_LEAF = 64
 
 # Most rows of a per block of ``cholesky_qr``'s second pass (blocks have
@@ -124,11 +126,14 @@ def _screen(r: np.ndarray, qtb: Optional[np.ndarray], m: int, what: str = "a") -
 
 
 def householder_qr(a, b=None, u=None, v=None) -> tuple:
-    """R and ``q.T @ b`` of a tall a, or of ``a + u @ v.T``, by Householder QR.
+    """R^{-1} and ``q.T @ b`` of a tall a, or of ``a + u @ v.T``, by
+    Householder QR.
 
     Copies a (and b) once into Fortran order, block by block, and runs
     LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``. None
-    of a, b, u, v is modified, and the copy is freed on return.
+    of a, b, u, v is modified. The copy is freed once r and qtb are read
+    off it, before r is screened and inverted, so the inversion's n x n
+    arrays never sit beside it.
 
     With a rank-r term (u, v) the factored matrix is ``a + u @ v.T``:
     each block of it is written straight into the Fortran-ordered buffer,
@@ -137,7 +142,7 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
 
     With b, this is Golub's Householder least squares method: the
     transformations that triangularize a also carry b, so the top n
-    entries of the last column are ``q.T @ b``, and ``r x = qtb`` solves
+    entries of the last column are ``q.T @ b``, and ``rinv @ qtb`` solves
     ``min ||a x - b||`` with no q at all.
 
     Parameters
@@ -148,8 +153,9 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
         them out screens b itself.
     u, v : (m, r) and (n, r) arrays, optional, given together.
 
-    Returns the tuple ``(r, qtb)``: r is n x n upper triangular with a
-    nonnegative diagonal, qtb is None without b.
+    Returns the tuple ``(rinv, qtb)``: rinv is the n x n inverse of r,
+    upper triangular with a positive diagonal and C-contiguous (see
+    ``invert_upper_triangular``); qtb is None without b.
 
     Raises
     ------
@@ -165,48 +171,52 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
     m, n = a.shape
     cols = n if b is None else n + 1
     # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
+    # No view of it outlives the block that uses it, so ``del qt`` frees it.
     qt = np.empty((cols, m))
     # A finite update may overflow here; the screen below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, m, COPY_BLOCK):
-            dst = qt[:n, i:i + COPY_BLOCK]
+            rows = slice(i, i + COPY_BLOCK)
             if u is None:
-                dst[...] = a[i:i + COPY_BLOCK].T
+                qt[:n, rows] = a[rows].T
             else:
-                np.matmul(v, u[i:i + COPY_BLOCK].T, out=dst)
-                dst += a[i:i + COPY_BLOCK].T
+                np.add(np.matmul(v, u[rows].T, out=qt[:n, rows]), a[rows].T,
+                       out=qt[:n, rows])
     if b is not None:
         qt[n] = b
     tau = np.empty(min(m, cols))
     _lapack_lite(lapack_lite.dgeqrf, m, cols, qt, max(1, m), tau)
     r = np.triu(qt[:n, :n].T)
     qtb = None if b is None else qt[n, :n].copy()
+    del qt
     _screen(r, qtb, m, "a" if u is None else "a + u v.T")
-    return r, qtb
+    return invert_upper_triangular(r), qtb
 
 
 def cholesky_qr(a, b=None) -> Optional[tuple]:
-    """R and ``q.T @ b`` of a tall a by certified CholeskyQR2, or None.
+    """R^{-1} and ``q.T @ b`` of a tall a by certified CholeskyQR2, or None.
 
     CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44,
     2015) takes ``R1 = chol(a.T a)'``, then ``q1 = a R1^{-1}`` and
-    ``R2 = chol(q1.T q1)'``, and returns ``r = R2 R1``: two Gram passes
-    over a, all BLAS-3, and no m x n copy. The second pass walks row
-    blocks of q1 through one buffer and carries b along, so
+    ``R2 = chol(q1.T q1)'``, so that ``r = R2 R1``: two Gram passes over
+    a, all BLAS-3, and no m x n copy. The second pass walks row blocks of
+    q1 through one buffer and carries b along, so
     ``q.T @ b = R2^{-T} (q1.T b)`` with no q. It sums the lower triangle
     of ``q1.T q1`` straight into G2, one ``TRIANGULAR_PANEL`` of rows at
     a time as soon as that panel of q1 is formed, so no n x n Gram
     temporary is made. A block has 2n rows, within [512, ``GRAM_BLOCK``],
     so it holds about as much as two n x n arrays. Each block costs
     n x n sums besides its products, which makes much shorter blocks
-    slower at large n.
+    slower at large n. r itself is never formed: ``R2^{-1}`` is the one
+    inverse taken after the pass, and ``r^{-1} = R1^{-1} R2^{-1}`` and
+    ``q.T @ b = (q1.T b) R2^{-1}`` (as a row) are products with it.
 
     Beside a and b it holds about four n x n arrays at most; the second
     pass holds ``R1^{-1}``, G2, the block and a panel of G2. R1 goes once
-    kappa is certified and is rebuilt from ``R1^{-1}`` after the second
-    pass, the block goes before the second Cholesky factorization, and
-    ``q.T @ b`` is solved for before r is formed. At m = 20000, n = 1000
-    the tracemalloc peak is 32.7 MiB, 4.3 n^2 doubles.
+    kappa is certified, the block goes with the pass, and G2 before
+    ``R2`` is inverted, when ``R1^{-1}``, L2 and ``q1.T b`` are all that
+    is left. At m = 20000, n = 1000 the tracemalloc peak is 32.7 MiB,
+    4.3 n^2 doubles.
 
     r is as orthogonal a factor as Householder's when
     ``delta = 8 kappa sqrt((m n + n (n + 1)) u) <= 1`` (the paper's
@@ -214,20 +224,22 @@ def cholesky_qr(a, b=None) -> Optional[tuple]:
     ``sqrt(||R1||_1 ||R1^{-1}||_1 ||R1||_inf ||R1^{-1}||_inf)``, which is
     at least cond_2(R1). The Frobenius bound is looser still (20x at
     m = 20000, n = 1000) and would turn away well-conditioned a with n in
-    the thousands.
+    the thousands. No rank test is needed: ``delta <= 1`` bounds cond(r)
+    by about ``1 / (8 sqrt(m n u))``, which is below the rank threshold
+    ``1 / (m eps)`` of ``householder_qr`` whenever ``m < 32 n / eps``.
 
-    Returns the tuple ``(r, qtb)`` as ``householder_qr`` does, or None
+    Returns the tuple ``(rinv, qtb)`` as ``householder_qr`` does, or None
     when it cannot vouch for the result: a Cholesky factorization fails,
     delta > 1 or is NaN, the Gram matrix is not finite or so small that
-    underflow outweighs its roundoff, or r and qtb fail the screen that
-    ``householder_qr`` raises from. It then emits no warning; a caller
-    falls back to ``householder_qr``, which raises the matching error, if
-    any. It raises nothing of its own.
+    underflow outweighs its roundoff, or rinv or qtb is not finite. It
+    then emits no warning; a caller falls back to ``householder_qr``,
+    which raises the matching error, if any. It raises nothing of its
+    own.
     """
     with np.errstate(all="ignore"):
         try:
             return _cholesky_qr2(a, b)
-        except (np.linalg.LinAlgError, NonFiniteValue, RankDeficient):
+        except np.linalg.LinAlgError:
             return None
 
 
@@ -246,24 +258,20 @@ def _cholesky_qr2(a: np.ndarray, b: Optional[np.ndarray]) -> Optional[tuple]:
     r1inv = invert_upper_triangular(r1)
     kappa = np.sqrt(np.linalg.norm(r1, 1) * np.linalg.norm(r1inv, 1)
                     * np.linalg.norm(r1, np.inf) * np.linalg.norm(r1inv, np.inf))
-    # Pass 2 needs only R1^{-1}; R1 is rebuilt from it afterwards.
+    # Pass 2 and everything after it need only R1^{-1}.
     del r1
     if not 8.0 * kappa * np.sqrt((m * n + n * (n + 1)) * EPS / 2.0) <= 1.0:
         return None
     g2, q1tb = _second_pass(a, b, r1inv)
     l2 = np.linalg.cholesky(g2)
     del g2
-    qtb = None
-    if b is not None:
-        # R2' y = q1tb by back substitution on the row- and column-reversed
-        # L2, which is upper triangular.
-        qtb = solve_upper_triangular(np.ascontiguousarray(l2[::-1, ::-1]), q1tb[::-1])[::-1]
-    r1 = invert_upper_triangular(r1inv)
-    del r1inv
-    r = np.zeros((n, n))
-    _times_upper(l2.T, r1, r)
-    _screen(r, qtb, m)
-    return r, qtb
+    r2inv = invert_upper_triangular(l2.T)
+    del l2
+    qtb = None if b is None else q1tb @ r2inv
+    rinv = _upper_product(r1inv, r2inv)
+    if not (np.isfinite(rinv).all() and (qtb is None or np.isfinite(qtb).all())):
+        return None
+    return rinv, qtb
 
 
 def _second_pass(a: np.ndarray, b: Optional[np.ndarray], r1inv: np.ndarray) -> tuple:
@@ -272,10 +280,10 @@ def _second_pass(a: np.ndarray, b: Optional[np.ndarray], r1inv: np.ndarray) -> t
     G2 is ``Q1.T Q1`` with only its lower triangle summed, the one that
     ``np.linalg.cholesky`` reads, and q1tb is ``Q1.T b`` (zeros without b).
     Row blocks of Q1 are formed in one buffer, a ``TRIANGULAR_PANEL`` of
-    columns at a time as in ``_times_upper``, and each panel's rows of G2
-    are summed as soon as it is formed: the diagonal block by syrk, the
-    block to its left by one product, both into one panel-sized buffer.
-    The buffers go on return.
+    columns at a time over the rows of R1^{-1} down to the panel's
+    diagonal block, and each panel's rows of G2 are summed as soon as it
+    is formed: the diagonal block by syrk, the block to its left by one
+    product, both into one panel-sized buffer. The buffers go on return.
     """
     m, n = a.shape
     g2 = np.zeros((n, n))
@@ -297,17 +305,20 @@ def _second_pass(a: np.ndarray, b: Optional[np.ndarray], r1inv: np.ndarray) -> t
     return g2, q1tb
 
 
-def _times_upper(c: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
-    """Write ``c @ t`` into out for an upper-triangular t.
+def _upper_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``s @ t`` for upper-triangular s and t, itself upper triangular and
+    C-contiguous.
 
-    One product per ``TRIANGULAR_PANEL`` columns of t, each over the rows
-    of t down to the panel's diagonal block, so the products skip all of
-    t's zero triangle but the panels' lower corners.
+    One product per ``TRIANGULAR_PANEL`` columns of t, over the rows and
+    columns of s and the rows of t down to the panel's diagonal block, so
+    the products skip both zero triangles but the panels' corners.
     """
     n = t.shape[0]
+    out = np.zeros((n, n))
     for j in range(0, n, TRIANGULAR_PANEL):
         k = min(j + TRIANGULAR_PANEL, n)
-        np.matmul(c[:, :k], t[:k, j:k], out=out[:, j:k])
+        np.matmul(s[:k, :k], t[:k, j:k], out=out[:k, j:k])
+    return out
 
 
 def qr_thin(a) -> QRFactors:
@@ -323,30 +334,6 @@ def qr_thin(a) -> QRFactors:
     return QRFactors(q=q, r=r)
 
 
-def solve_upper_triangular(r, b) -> np.ndarray:
-    """Solve ``r @ x = b`` for upper-triangular r by blocked back substitution.
-
-    From the bottom block up, each diagonal block of at most
-    ``TRIANGULAR_LEAF`` columns goes to ``np.linalg.solve`` (partial
-    pivoting never swaps rows of a triangular matrix, so this is back
-    substitution), and one product takes the block's part out of the rows
-    above it. b may be a vector or a matrix of stacked right-hand-side
-    columns; the result has the same ndim. Only the upper triangle of r is
-    read.
-
-    Raises nothing of its own: r is a factor that passed a QR's screen,
-    so its diagonal is far from zero. A zero diagonal entry makes
-    ``np.linalg.solve`` raise LinAlgError.
-    """
-    n = r.shape[0]
-    x = np.array(b, dtype=np.float64)
-    for j in reversed(range(0, n, TRIANGULAR_LEAF)):
-        k = min(j + TRIANGULAR_LEAF, n)
-        x[j:k] = np.linalg.solve(np.triu(r[j:k, j:k]), x[j:k])
-        x[:j] -= r[:j, j:k] @ x[j:k]
-    return x
-
-
 def invert_upper_triangular(r) -> np.ndarray:
     """Inverse of an upper-triangular r, by recursive 2 x 2 blocking.
 
@@ -354,10 +341,11 @@ def invert_upper_triangular(r) -> np.ndarray:
     ``[[X11, -(X11 @ R12) @ X22], [0, X22]]`` for ``Xii = Rii^{-1}``; the
     diagonal blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
     ``np.linalg.inv`` takes over. About 2n^3 / 3 flops, all but the
-    leaves in gemm, so it runs as fast as trtri's n^3 / 3; worth it when r
-    is solved against many times.
+    leaves in gemm, so it runs as fast as trtri's n^3 / 3. The base QRs
+    return the inverse in place of r, and the package applies r only
+    through products with it.
 
-    Only the upper triangle of r is read, as in ``solve_upper_triangular``.
+    Only the upper triangle of r is read.
     The result is upper triangular and C-contiguous, so that products
     ``c @ inv`` with a skinny row-major c run in BLAS's fast orientation.
 

@@ -17,16 +17,17 @@ solver detects and rejects rank-dropping updates. The n x n correction is
 never materialized; ``prepare``/``build_workspace``/``solve_updated`` carry
 only z (n x 2r), yt (2r x n) and the 2r x 2r capacitance.
 
-``prepare`` gets R and ``Q.T b`` for the bound b without forming Q. It
-tries certified CholeskyQR2 first (``kernels.cholesky_qr``): two Gram
+``prepare`` gets R^{-1} and ``Q.T b`` for the bound b without forming Q.
+It tries certified CholeskyQR2 first (``kernels.cholesky_qr``): two Gram
 passes over ``a`` in row blocks, with no copy of ``a``. Past its
 certificate, on an ``a`` that is ill-conditioned for its size, it factors
-``[a | b]`` by Householder QR in one (n + 1) x m buffer. It then inverts R
-once and keeps only that inverse, so a prepared base holds n^2 + n doubles
-beyond ``a`` and the bound b. Any other right-hand side is solved by the
-corrected seminormal equations (CSNE; Björck 1987, LAA 88/89), from ``a``
-and R^{-1} alone. One solve body serves a vector b and an m x k block, so
-the k columns of a block share every pass over ``a``.
+``[a | b]`` by Householder QR in one (n + 1) x m buffer. Either QR hands
+back R^{-1}, not R, and ``prepare`` keeps only that inverse, so a prepared
+base holds n^2 + n doubles beyond ``a`` and the bound b. Any other
+right-hand side is solved by the corrected seminormal equations (CSNE;
+Björck 1987, LAA 88/89), from ``a`` and R^{-1} alone. One solve body
+serves a vector b and an m x k block, so the k columns of a block share
+every pass over ``a``.
 
 ``z`` then costs two n x n by n x 2r products instead of two triangular
 solves. Skinny products are written with the skinny operand on the left,
@@ -230,16 +231,16 @@ def prepare(a, b=None) -> PreparedBase:
     rows. When it cannot certify its R, because cond(a) is too large for
     a's size, ``[a | b]`` is factored by Householder QR in one
     (n + 1) x m buffer instead, at the cost of the Gram pass already made.
-    That buffer is dropped before R is inverted. R is then inverted once
-    (about 2 n^3 / 3 flops beside the QR's 2 m n^2) and only that inverse
-    is kept. ``(a.T a)^{-1} c =
-    R^{-1} (R^{-T} c)`` is then two matrix products with the inverse
-    (:func:`ata_solve`).
+    That buffer is dropped before R is inverted. Either QR returns R^{-1},
+    from n x n inversions of about 2 n^3 / 3 flops each (CholeskyQR2's
+    two, Householder's one) beside the QR's 2 m n^2, and only that
+    inverse is kept. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is then two
+    matrix products with it (:func:`ata_solve`).
 
     If ``b`` is given, the base solution ``x0 = R^{-1} (Q.T b)``, with
     ``Q.T b`` read off the factorization, is computed and bound to it, at
-    the price of one triangular solve. A different right-hand side later
-    costs three passes over ``a`` (:func:`base_lstsq`).
+    the price of one n x n by n product. A different right-hand side
+    later costs three passes over ``a`` (:func:`base_lstsq`).
 
     Raises NonFiniteValue when a or b holds NaN or infinity, and
     RankDeficient when a lacks full column rank.
@@ -254,25 +255,26 @@ def prepare(a, b=None) -> PreparedBase:
         # the pass over a that names it.
         _require_finite(a, "a")
         factors = kernels.householder_qr(a, b)
-    r, qtb = factors
-    rinv = _freeze(kernels.invert_upper_triangular(r))
+    rinv, qtb = factors
     x0 = None
     if b is not None:
-        b, x0 = _freeze(b.copy()), _freeze(kernels.solve_upper_triangular(r, qtb))
-    return PreparedBase(a=a, m=m, n=n, rinv=rinv, b=b, x0=x0)
+        b, x0 = _freeze(b.copy()), _freeze(rinv @ qtb)
+    return PreparedBase(a=a, m=m, n=n, rinv=_freeze(rinv), b=b, x0=x0)
 
 
 def ata_solve(base: PreparedBase, c) -> np.ndarray:
     """Solve ``(a.T a) z = c`` by two products with the prepared R^{-1}.
 
-    c may hold several stacked columns. The result z satisfies
+    c is a length-n vector or an n x k block of stacked columns; any other
+    shape raises DimensionMismatch. The result z satisfies
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
     """
     c = _real(c, "c")
-    if c.shape[0] != base.n:
+    if c.ndim not in (1, 2) or c.shape[0] != base.n:
         raise DimensionMismatch(
-            f"c must have {base.n} rows to conform with the base, got shape {c.shape}"
+            f"c must be a length-{base.n} vector or an ({base.n}, k) matrix, "
+            f"got shape {c.shape}"
         )
     # (R^{-T} c).T = c.T R^{-1}, then R^{-1} y = (y.T R^{-T}).T: both
     # products keep the skinny operand on the left of the n x n inverse.
@@ -408,7 +410,9 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     """From-scratch QR solve of ``min ||b - (a + u v.T) x||_2``.
 
     Factors ``[a + u v.T | b]`` by Householder QR without forming Q and
-    back-substitutes on ``Q.T b``. ``kernels.householder_qr`` writes
+    returns ``R^{-1} (Q.T b)``, with R^{-1} as ``kernels.householder_qr``
+    hands it back: one n x n inversion, 2 n^3 / 3 flops, where back
+    substitution would take n^2. ``kernels.householder_qr`` writes
     ``a + u v.T`` block by block straight into its factorization buffer,
     so the updated matrix is never formed on its own and the solve holds
     one m x n array. This is the correctness oracle and the timing
@@ -427,5 +431,5 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     b = _bound_rhs(_real(b, "b"), m)  # None fails the shape check
     upd = LowRankUpdate(u, v)
     _conforming(upd, m, n)
-    r, qtb = kernels.householder_qr(a, b, upd.u, upd.v)
-    return kernels.solve_upper_triangular(r, qtb)
+    rinv, qtb = kernels.householder_qr(a, b, upd.u, upd.v)
+    return rinv @ qtb

@@ -18,29 +18,29 @@ from lrlsq.kernels import (
     invert_upper_triangular,
     lu_factor_checked,
     qr_thin,
-    solve_upper_triangular,
 )
 from oracles import numerical_rank, pinv_oracle
 
 
 # ---------------------------------------------------------------- qr_thin
 
-# r of a by each QR behind the screen: numpy's QR in qr_thin, and the
-# Householder QR that baseline_solve runs, which relies on the screen to
-# find a non-finite a. The tests below run both; only qr_thin forms q.
-R_OF = (lambda a: qr_thin(a).r, lambda a: householder_qr(a)[0])
+# R^{-1} of a by each QR behind the screen: numpy's QR in qr_thin, its r
+# inverted by numpy, and the Householder QR that baseline_solve runs, which
+# relies on the screen to find a non-finite a. The tests below run both;
+# only qr_thin forms q.
+RINV_OF = (lambda a: np.linalg.inv(qr_thin(a).r), lambda a: householder_qr(a)[0])
 
 
 def test_qr_identity():
-    for r_of in R_OF:
-        np.testing.assert_array_equal(r_of(np.eye(4)), np.eye(4))
+    for rinv_of in RINV_OF:
+        np.testing.assert_array_equal(rinv_of(np.eye(4)), np.eye(4))
     np.testing.assert_array_equal(qr_thin(np.eye(4)).q, np.eye(4))
 
 
 def test_qr_pythagorean_column():
     a = np.array([[3.0], [4.0]])
-    for r_of in R_OF:
-        np.testing.assert_allclose(r_of(a), [[5.0]], rtol=1e-15)
+    for rinv_of in RINV_OF:
+        np.testing.assert_allclose(rinv_of(a), [[0.2]], rtol=1e-15)
     f = qr_thin(a)
     np.testing.assert_allclose(f.q, [[0.6], [0.8]], rtol=1e-14)
     np.testing.assert_allclose(f.q.T @ f.q, [[1.0]], atol=1e-15)
@@ -49,15 +49,15 @@ def test_qr_pythagorean_column():
 
 def test_qr_duplicated_columns_rank_deficient():
     col = np.random.default_rng(1).standard_normal((6, 1))
-    for r_of in R_OF:
+    for rinv_of in RINV_OF:
         with pytest.raises(RankDeficient):
-            r_of(np.hstack([col, col]))
+            rinv_of(np.hstack([col, col]))
 
 
 def test_qr_zero_matrix_rank_deficient():
-    for r_of in R_OF:
+    for rinv_of in RINV_OF:
         with pytest.raises(RankDeficient):
-            r_of(np.zeros((3, 2)))
+            rinv_of(np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("m,n", [(5, 2), (30, 30), (80, 17), (200, 120), (150, 200 - 80)])
@@ -88,18 +88,18 @@ def test_qr_thin_leaves_input_untouched(order):
 def test_qr_non_finite_input(bad, pos):
     a = np.random.default_rng(8).standard_normal((20, 5))
     a[pos] = bad
-    for r_of in R_OF:
+    for rinv_of in RINV_OF:
         with pytest.raises(NonFiniteValue):
-            r_of(a)
+            rinv_of(a)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_qr_non_finite_entry_off_the_diagonal_of_r(bad):
     # Column 0 needs no reflection, so the bad entry lands in r[0, 1] only
     # and every diagonal entry of r stays finite.
-    for r_of in R_OF:
+    for rinv_of in RINV_OF:
         with pytest.raises(NonFiniteValue):
-            r_of(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
+            rinv_of(np.array([[1.0, bad], [0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------- householder_qr
@@ -115,8 +115,9 @@ def test_householder_qr_matches_qr_thin(m, n, with_b):
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m) if with_b else None
     f = qr_thin(a)
-    r, qtb = householder_qr(a, b)
-    assert np.linalg.norm(r - f.r) <= 1e-13 * np.linalg.norm(f.r)
+    rinv, qtb = householder_qr(a, b)
+    ref = np.linalg.inv(f.r)
+    assert np.linalg.norm(rinv - ref) <= 1e-13 * np.linalg.norm(ref)
     if with_b:
         assert np.linalg.norm(qtb - f.q.T @ b) <= 1e-13 * np.linalg.norm(b)
     else:
@@ -149,9 +150,9 @@ def test_householder_qr_rank_term_matches_explicit_sum(with_b):
     u = rng.standard_normal((m, r))
     v = rng.standard_normal((n, r))
     b = rng.standard_normal(m) if with_b else None
-    r, qtb = householder_qr(a, b, u, v)
-    ref_r, ref_qtb = householder_qr(a + u @ v.T, b)
-    assert np.linalg.norm(r - ref_r) <= 1e-14 * np.linalg.norm(ref_r)
+    rinv, qtb = householder_qr(a, b, u, v)
+    ref_rinv, ref_qtb = householder_qr(a + u @ v.T, b)
+    assert np.linalg.norm(rinv - ref_rinv) <= 1e-14 * np.linalg.norm(ref_rinv)
     if with_b:
         assert np.linalg.norm(qtb - ref_qtb) <= 1e-14 * np.linalg.norm(ref_qtb)
     else:
@@ -172,8 +173,8 @@ def test_householder_qr_least_squares_hand_checked():
     # a = [e1, -e2] needs no reflection; the sign normalization makes
     # r = I and q = a, so q.T b = [3, 4].
     a = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
-    r, qtb = householder_qr(a, np.array([3.0, -4.0, 5.0]))
-    np.testing.assert_allclose(r, np.eye(2), atol=1e-15)
+    rinv, qtb = householder_qr(a, np.array([3.0, -4.0, 5.0]))
+    np.testing.assert_allclose(rinv, np.eye(2), atol=1e-15)
     np.testing.assert_allclose(qtb, [3.0, 4.0], atol=1e-15)
 
 
@@ -200,10 +201,11 @@ def test_cholesky_qr_matches_householder_qr(m, n, with_b):
     b = rng.standard_normal(m) if with_b else None
     got = cholesky_qr(a, b)
     assert got is not None
-    r, qtb = got
-    ref_r, ref_qtb = householder_qr(a, b)
-    np.testing.assert_array_equal(np.tril(r, -1), 0.0)
-    assert np.linalg.norm(r - ref_r) <= 1e-14 * np.linalg.norm(ref_r)
+    rinv, qtb = got
+    ref_rinv, ref_qtb = householder_qr(a, b)
+    np.testing.assert_array_equal(np.tril(rinv, -1), 0.0)
+    assert rinv.flags.c_contiguous
+    assert np.linalg.norm(rinv - ref_rinv) <= 1e-14 * np.linalg.norm(ref_rinv)
     if with_b:
         assert np.linalg.norm(qtb - ref_qtb) <= 1e-14 * np.linalg.norm(b)
     else:
@@ -245,32 +247,14 @@ def test_cholesky_qr_declines_quietly(case):
     assert cholesky_qr(a, b) is None
 
 
-# --------------------------------------------------- solve_upper_triangular
-
-def test_triangular_identity():
-    b = np.arange(8.0).reshape(4, 2)
-    np.testing.assert_array_equal(solve_upper_triangular(np.eye(4), b), b)
-
-
-def test_triangular_diagonal():
-    out = solve_upper_triangular(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    np.testing.assert_array_equal(out, [1.0, 1.0])
-
-
-def test_triangular_residual_random():
-    rng = np.random.default_rng(2)
-    r = np.triu(rng.standard_normal((5, 5))) + 5.0 * np.eye(5)
-    b = rng.standard_normal((5, 3))
-    x = solve_upper_triangular(r, b)
-    assert np.linalg.norm(r @ x - b) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(x)
-
+# ------------------------------------------ R^{-1} b, the library's solve
 
 @lru_cache(maxsize=None)
 def _graded_r(n, cond):
     """R of a graded n x n matrix, singular values log-spaced from 1 to
     1/cond; read-only, as it is shared between tests."""
     q, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
-    r, _ = householder_qr(np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T)
+    r = qr_thin(np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T).r
     r.flags.writeable = False
     return r
 
@@ -279,40 +263,16 @@ def _graded_r(n, cond):
 @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 150, 300, 1000])
 def test_triangular_matches_scipy_on_graded_r(n, cond, cols):
-    # n = 63, 64, 65 straddle one diagonal block; 1000 takes sixteen.
+    # The library solves r x = b as x = r^{-1} b, a product with the
+    # inverse every QR hands back, where scipy back-substitutes.
+    # n = 63, 64, 65 straddle one leaf of the inversion; 1000 recurses four
+    # times.
     r = _graded_r(n, cond)
     b = np.random.default_rng(n + 1).standard_normal(n if cols is None else (n, cols))
-    x = solve_upper_triangular(r, b)
+    x = invert_upper_triangular(r) @ b
     ref = scipy.linalg.solve_triangular(r, b)
     assert x.shape == b.shape
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
-
-
-def test_triangular_reads_upper_triangle_only():
-    r = np.array(_graded_r(150, 1e6))
-    b = np.random.default_rng(8).standard_normal((150, 3))
-    x = solve_upper_triangular(r, b)
-    r[np.tril_indices(150, -1)] = np.random.default_rng(9).standard_normal(150 * 149 // 2)
-    np.testing.assert_array_equal(solve_upper_triangular(r, b), x)
-
-
-def test_triangular_leaves_b_untouched():
-    b = np.ones(70)
-    x = solve_upper_triangular(_graded_r(70, 1e2), b)
-    np.testing.assert_array_equal(b, np.ones(70))
-    assert not np.shares_memory(x, b)
-
-
-def test_two_triangular_solves_invert_normal_matrix():
-    # R^{-1} R^{-T} applied to c solves (a.T a) z = c.
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((40, 12))
-    c = rng.standard_normal((12, 3))
-    f = qr_thin(a)
-    z = solve_upper_triangular(f.r, scipy.linalg.solve_triangular(f.r, c, trans="T"))
-    ata = a.T @ a
-    assert (np.linalg.norm(ata @ z - c)
-            <= 1e-10 * np.linalg.norm(ata) * np.linalg.norm(z))
 
 
 # ------------------------------------------------- invert_upper_triangular
@@ -352,7 +312,7 @@ def test_invert_upper_triangular_matches_trtri_on_graded_r(cond):
     n = 300
     p, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    r, _ = householder_qr((p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T)
+    r = qr_thin((p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T).r
     inv = invert_upper_triangular(r)
     ref = np.triu(scipy.linalg.lapack.dtrtri(r)[0])
     assert inv.flags.c_contiguous and not np.tril(inv, -1).any()

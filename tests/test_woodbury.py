@@ -12,7 +12,7 @@ from conftest import draw_family, draw_instance, rank_drop_instance
 from oracles import numerical_rank, pinv_oracle, pinv_update_explicit
 from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
 from lrlsq import kernels, woodbury
-from lrlsq.kernels import GRAM_BLOCK, qr_thin, solve_upper_triangular
+from lrlsq.kernels import GRAM_BLOCK, qr_thin
 from lrlsq.woodbury import (
     LowRankUpdate,
     ata_solve,
@@ -120,8 +120,15 @@ def test_ata_solve_constructed_solution():
 
 
 def test_ata_solve_dimension_mismatch():
+    base = prepare(np.eye(3))
     with pytest.raises(DimensionMismatch):
-        ata_solve(prepare(np.eye(3)), np.ones(2))
+        ata_solve(base, np.ones(2))
+    # Neither a vector nor a block: a scalar has no rows to check, and a
+    # 3-D c has a first axis of the right length.
+    for c in (3.0, np.ones((3, 2, 2))):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^c must be a length-3 vector or an \(3, k\) matrix, got shape"):
+            ata_solve(base, c)
 
 
 # --------------------------------------------------------- build_workspace
@@ -201,8 +208,8 @@ def _update_by_triangular_solves(a, b, u, v):
     atu = a.T @ u
     x_blk = np.hstack([v, atu])
     yt = np.vstack([atu.T + (u.T @ u) @ v.T, v.T])
-    z = solve_upper_triangular(f.r, scipy.linalg.solve_triangular(f.r, x_blk, trans="T"))
-    x0 = solve_upper_triangular(f.r, f.q.T @ b)
+    z = scipy.linalg.solve_triangular(f.r, scipy.linalg.solve_triangular(f.r, x_blk, trans="T"))
+    x0 = scipy.linalg.solve_triangular(f.r, f.q.T @ b)
     w = x0 + z[:, : u.shape[1]] @ (u.T @ b)
     x = w - z @ np.linalg.solve(np.eye(yt.shape[0]) + yt @ z, yt @ w)
     return z, x
@@ -243,7 +250,7 @@ def test_prepare_and_baseline_solve_stay_off_numpy_qr(monkeypatch):
 
 def _explicit_q_solve(a, b):
     f = qr_thin(a)
-    return solve_upper_triangular(f.r, f.q.T @ b)
+    return scipy.linalg.solve_triangular(f.r, f.q.T @ b)
 
 
 def test_fresh_rhs_matches_explicit_q_solve():
@@ -754,7 +761,7 @@ def test_factorization_holds_one_buffer(fn):
     # it, with no m x n temporaries of its own. prepare's CholeskyQR2 makes
     # no such buffer: it holds about four n x n arrays, or two, a panel of
     # G2 and its one row block of 2n rows (at least 512, at most
-    # GRAM_BLOCK). When it declines, prepare drops Householder's buffer
+    # GRAM_BLOCK). When it declines, Householder QR drops its buffer
     # before it inverts R, so R and that inversion's n x n arrays never sit
     # beside it.
     rng = np.random.default_rng(37)
@@ -783,26 +790,50 @@ def test_factorization_holds_one_buffer(fn):
 
 @pytest.mark.parametrize("m,n", [(3000, 100), (3000, 600)])
 def test_cholesky_qr_frees_row_block_before_back_substitution(m, n, monkeypatch):
-    # When cholesky_qr solves for Q'b, it holds R1^{-1}, L2 and L2
-    # reversed, and q1tb: the row block and G2 are gone.
+    # cholesky_qr inverts twice: R1, then R2 = chol(G2)' after pass 2, which
+    # gives Q'b with no back substitution. Where the R2 inversion starts,
+    # it holds R1^{-1}, L2 and q1tb: the row block and G2 are gone.
     rng = np.random.default_rng(44)
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     held = []
-    real = kernels.solve_upper_triangular
+    real = kernels.invert_upper_triangular
 
     def recording(*args):
         held.append(tracemalloc.get_traced_memory()[0])
         return real(*args)
 
-    monkeypatch.setattr(kernels, "solve_upper_triangular", recording)
+    monkeypatch.setattr(kernels, "invert_upper_triangular", recording)
     tracemalloc.start()
     try:
         assert kernels.cholesky_qr(a, b) is not None
     finally:
         tracemalloc.stop()
-    # 3 n^2 doubles, q1tb's n and a few Python objects.
-    assert len(held) == 1 and held[0] <= 8 * (3 * n * n + n) + 4096
+    # 2 n^2 doubles, q1tb's n and a few Python objects.
+    assert len(held) == 2 and held[1] <= 8 * (2 * n * n + n) + 4096
+
+
+def test_prepare_inverts_twice(monkeypatch):
+    # Certified, CholeskyQR2 inverts R1 and R2 and hands prepare R^{-1}
+    # with no third inversion of R. Declined past its certificate (at cond
+    # 1e6 the first Cholesky factorization succeeds and delta is far above
+    # 1), it has inverted R1, and Householder QR inverts its R.
+    calls = []
+    real = kernels.invert_upper_triangular
+
+    def counting(r):
+        calls.append(r.shape)
+        return real(r)
+
+    monkeypatch.setattr(kernels, "invert_upper_triangular", counting)
+    rng = np.random.default_rng(45)
+    b = rng.standard_normal(400)
+    householder = _counting_householder_qr(monkeypatch)
+    prepare(rng.standard_normal((400, 40)), b)
+    assert calls == [(40, 40)] * 2 and not householder
+    calls.clear()
+    prepare(_graded(rng, 400, 40, 1e6)[0], b)
+    assert calls == [(40, 40)] * 2 and len(householder) == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
