@@ -16,7 +16,8 @@ the upper-triangular factor r, whose diagonal is positive, and qtb
 ``q.T @ b`` (None without b), without forming q. The package applies r
 only through products with its inverse, so ``x = rinv @ qtb`` is the
 least squares solution for b. ``cholesky_qr`` runs certified
-CholeskyQR2: two Gram passes over a, in row blocks, with no m x n copy.
+CholeskyQR2: two Gram passes over a, in row blocks, with no m x n copy,
+and one plain product ``R1^{-1} R2^{-1}`` for rinv.
 It returns None when it cannot certify that its r is as good as a
 Householder r, that is, when a is ill-conditioned for its size, or when
 its result is not finite. ``householder_qr`` always applies and raises
@@ -60,8 +61,8 @@ COPY_BLOCK = 256
 TRIANGULAR_LEAF = 64
 
 # Most rows of a per block of ``cholesky_qr``'s second pass (blocks have
-# 2n rows, at least 512), and columns per product in its triangular
-# products and per panel of its second Gram matrix.
+# 2n rows, at least 512), and columns per panel of that pass: per product
+# with R1^{-1} and per panel of its second Gram matrix.
 GRAM_BLOCK = 2048
 TRIANGULAR_PANEL = 256
 
@@ -268,7 +269,7 @@ def _cholesky_qr2(a: np.ndarray, b: Optional[np.ndarray]) -> Optional[tuple]:
     r2inv = invert_upper_triangular(l2.T)
     del l2
     qtb = None if b is None else q1tb @ r2inv
-    rinv = _upper_product(r1inv, r2inv)
+    rinv = r1inv @ r2inv
     if not (np.isfinite(rinv).all() and (qtb is None or np.isfinite(qtb).all())):
         return None
     return rinv, qtb
@@ -303,22 +304,6 @@ def _second_pass(a: np.ndarray, b: Optional[np.ndarray], r1inv: np.ndarray) -> t
         if b is not None:
             q1tb += b[i:i + rows] @ q1
     return g2, q1tb
-
-
-def _upper_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``s @ t`` for upper-triangular s and t, itself upper triangular and
-    C-contiguous.
-
-    One product per ``TRIANGULAR_PANEL`` columns of t, over the rows and
-    columns of s and the rows of t down to the panel's diagonal block, so
-    the products skip both zero triangles but the panels' corners.
-    """
-    n = t.shape[0]
-    out = np.zeros((n, n))
-    for j in range(0, n, TRIANGULAR_PANEL):
-        k = min(j + TRIANGULAR_PANEL, n)
-        np.matmul(s[:k, :k], t[:k, j:k], out=out[:k, j:k])
-    return out
 
 
 def qr_thin(a) -> QRFactors:

@@ -164,16 +164,29 @@ def _real(x, name: str) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def _operand(x, name: str, rows: int, ndims: tuple) -> np.ndarray:
+    """x as a float64 array (see :func:`_real`) whose ndim is in ndims (1
+    for a vector, 2 for a matrix) and whose first axis has length rows; a
+    matrix must have at least one column. Raises DimensionMismatch naming
+    the allowed shapes otherwise."""
+    x = _real(x, name)
+    if x.ndim not in ndims or x.shape[0] != rows or (x.ndim == 2 and x.shape[1] < 1):
+        allowed = {1: f"a length-{rows} vector", 2: f"an ({rows}, k) matrix"}
+        raise DimensionMismatch(
+            f"{name} must be {' or '.join(allowed[d] for d in ndims)}, got shape {x.shape}"
+        )
+    return x
+
+
 def _require_finite(x: np.ndarray, name: str) -> None:
     """Raise NonFiniteValue if x holds NaN or infinity.
 
-    The sum is non-finite whenever an entry is, and unlike ``np.isfinite(x)``
-    it allocates nothing the size of x; only a sum that overflows on finite
-    entries takes the exact test.
+    The test makes a bool temporary the size of x. On the largest x, the
+    base a on ``prepare``'s Householder fallback, the (n + 1) x m buffer
+    that the QR allocates next is 8x larger, so the temporary does not set
+    the peak.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = x.sum()
-    if not np.isfinite(total) and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise NonFiniteValue(f"{name} contains NaN or infinite entries")
 
 
@@ -207,20 +220,6 @@ def updated_normal_residual(a, u, v, x, b) -> float:
     return scale * float(np.linalg.norm(g / scale))
 
 
-def _bound_rhs(b, m: int) -> Optional[np.ndarray]:
-    """Validate the optional right-hand side b of a prepared base.
-
-    Returns b as a float64 vector, or None.
-    """
-    if b is None:
-        return None
-    b = _real(b, "b")
-    if b.ndim != 1 or b.shape[0] != m:
-        raise DimensionMismatch(f"b must be a length-{m} vector, got shape {b.shape}")
-    _require_finite(b, "b")
-    return b
-
-
 def prepare(a, b=None) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
@@ -242,12 +241,15 @@ def prepare(a, b=None) -> PreparedBase:
     the price of one n x n by n product. A different right-hand side
     later costs three passes over ``a`` (:func:`base_lstsq`).
 
-    Raises NonFiniteValue when a or b holds NaN or infinity, and
-    RankDeficient when a lacks full column rank.
+    Raises DimensionMismatch unless a is 2-D with m >= n and b, if given,
+    is a length-m vector; NonFiniteValue when a or b holds NaN or
+    infinity; and RankDeficient when a lacks full column rank.
     """
     a = _base_matrix(a)
     m, n = a.shape
-    b = _bound_rhs(b, m)
+    if b is not None:
+        b = _operand(b, "b", m, (1,))
+        _require_finite(b, "b")
     factors = kernels.cholesky_qr(a, b)
     if factors is None:
         # cholesky_qr declines on any NaN or infinity in a, which makes the
@@ -265,17 +267,12 @@ def prepare(a, b=None) -> PreparedBase:
 def ata_solve(base: PreparedBase, c) -> np.ndarray:
     """Solve ``(a.T a) z = c`` by two products with the prepared R^{-1}.
 
-    c is a length-n vector or an n x k block of stacked columns; any other
-    shape raises DimensionMismatch. The result z satisfies
+    c is a length-n vector or an n x k block of stacked columns, k >= 1;
+    any other shape raises DimensionMismatch. The result z satisfies
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
     """
-    c = _real(c, "c")
-    if c.ndim not in (1, 2) or c.shape[0] != base.n:
-        raise DimensionMismatch(
-            f"c must be a length-{base.n} vector or an ({base.n}, k) matrix, "
-            f"got shape {c.shape}"
-        )
+    c = _operand(c, "c", base.n, (1, 2))
     # (R^{-T} c).T = c.T R^{-1}, then R^{-1} y = (y.T R^{-T}).T: both
     # products keep the skinny operand on the left of the n x n inverse.
     return ((c.T @ base.rinv) @ base.rinv.T).T
@@ -291,8 +288,13 @@ def base_lstsq(base: PreparedBase, c) -> np.ndarray:
     through R^{-1}, then one correction step on its residual. Three passes
     over ``a``, shared by all columns of a block, and no Q. The correction
     is what keeps the error within the least squares sensitivity bound
-    ``kappa eps + kappa^2 eps ||r|| / (||a|| ||x||)``; the seminormal solve
-    alone exceeds it by orders of magnitude on ill-conditioned a.
+    ``kappa eps + kappa^2 eps ||r|| / (||a|| ||x||)``, kappa = cond(a);
+    the seminormal solve alone exceeds it by orders of magnitude on
+    ill-conditioned a. Measured on a graded 2000 x 100 a, one correction
+    step keeps it within the bound up to cond 1e8 (``kappa^2 eps`` about
+    2; 0.01x the bound) but not at cond 1e10 (about 2e4), where a zero
+    residual leaves it 41x over, while ``prepare``'s ``x0`` for the bound
+    right-hand side stays under it. The tests gate it up to cond 1e6.
     """
     a = base.a
     # The skinny operand goes on the left of a (see the module docstring).
@@ -368,22 +370,21 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     n x 2r product.
 
     ``updated_normal_residual(base.a, upd.u, upd.v, x, b)`` certifies x
-    (two passes over a).
+    (two passes over a). For a b other than the bound one, x0 comes from
+    :func:`base_lstsq`, which was measured within the least squares
+    sensitivity bound up to cond 1e8 and 41x over it at cond 1e10.
 
-    Raises NonFiniteValue when b is not the bound right-hand side and holds
-    NaN or infinity.
+    Raises DimensionMismatch unless b is a length-m vector, and
+    NonFiniteValue when b is not the bound right-hand side and holds NaN
+    or infinity.
     """
-    b = _real(b, "b")
-    if b.ndim != 1 or b.shape[0] != base.m:
-        raise DimensionMismatch(
-            f"b must be a length-{base.m} vector, got shape {b.shape}"
-        )
+    b = _operand(b, "b", base.m, (1,))
     return SolveOutcome(x=_solve(base, upd, ws, b), cap_rcond=ws.cap_rcond)
 
 
 def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
                bs) -> np.ndarray:
-    """Solve the updated problem for every column of ``bs`` (m x k).
+    """Solve the updated problem for every column of ``bs`` (m x k, k >= 1).
 
     Runs the solve of :func:`solve_updated` once on the whole block: the
     base solves are matrix products whose three passes over ``a`` all k
@@ -392,18 +393,14 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     base solve of :func:`base_lstsq`, so column j agrees with what
     ``solve_updated`` returns on ``bs[:, j]`` to roundoff (within 1e-13
     relative on well-conditioned instances), and the result is the same
-    bits from run to run.
+    bits from run to run. Each column's base solve is :func:`base_lstsq`'s,
+    measured within the least squares sensitivity bound up to cond 1e8
+    and 41x over it at cond 1e10.
 
-    Raises NonFiniteValue when any column holds NaN or infinity.
+    Raises DimensionMismatch for any other shape of bs, and NonFiniteValue
+    when any column holds NaN or infinity.
     """
-    bs = _real(bs, "bs")
-    if bs.ndim != 2 or bs.shape[0] != base.m:
-        raise DimensionMismatch(
-            f"bs must be an ({base.m}, k) matrix, got shape {bs.shape}"
-        )
-    if bs.shape[1] < 1:
-        raise DimensionMismatch("bs must have at least one column")
-    return _solve(base, upd, ws, bs)
+    return _solve(base, upd, ws, _operand(bs, "bs", base.m, (2,)))
 
 
 def baseline_solve(a, u, v, b) -> np.ndarray:
@@ -428,7 +425,8 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     """
     a = _base_matrix(a)
     m, n = a.shape
-    b = _bound_rhs(_real(b, "b"), m)  # None fails the shape check
+    b = _operand(b, "b", m, (1,))  # None fails the shape check
+    _require_finite(b, "b")
     upd = LowRankUpdate(u, v)
     _conforming(upd, m, n)
     rinv, qtb = kernels.householder_qr(a, b, upd.u, upd.v)

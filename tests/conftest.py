@@ -1,7 +1,6 @@
 """Shared instance generators for the numerical test suites."""
 
 import numpy as np
-import pytest
 
 from lrlsq.errors import LrlsqError
 from lrlsq.woodbury import LowRankUpdate, build_workspace, prepare
@@ -59,8 +58,3 @@ def rank_drop_instance(rng, m, n, r=1):
     v = np.zeros((n, r))
     v[cols, np.arange(r)] = 1.0
     return a, u, v
-
-
-@pytest.fixture
-def instance_factory():
-    return draw_instance

@@ -555,6 +555,48 @@ def test_solve_rejects_bad_rhs_shape():
         solve_updated(base, upd, ws, np.ones(4))
 
 
+_B_VECTOR = "b must be a length-20 vector"
+_ALLOWED = {
+    "prepare": _B_VECTOR,
+    "baseline_solve": _B_VECTOR,
+    "solve_updated": _B_VECTOR,
+    "solve_many": r"bs must be an \(20, k\) matrix",
+    "ata_solve": r"c must be a length-5 vector or an \(5, k\) matrix",
+}
+
+
+@pytest.mark.parametrize("fn, shape", [
+    ("prepare", (20, 1)),
+    ("prepare", (19,)),
+    ("baseline_solve", None),
+    ("baseline_solve", (20, 1)),
+    ("solve_updated", (20, 1)),
+    ("solve_many", (20,)),
+    ("solve_many", (20, 0)),
+    ("solve_many", (19, 2)),
+    ("ata_solve", (5, 0)),
+    ("ata_solve", (4,)),
+    ("ata_solve", (5, 2, 2)),
+], ids=str)
+def test_operand_shape_mismatch_names_allowed_shapes(fn, shape):
+    # One check at the boundary of every solver: the message names the
+    # shapes it takes and the one it got. A matrix needs a column.
+    rng = np.random.default_rng(44)
+    a, b, u, v, base, ws = draw_instance(rng, 20, 5, 2)
+    upd = LowRankUpdate(u, v)
+    bad = None if shape is None else rng.standard_normal(shape)
+    call = {
+        "prepare": lambda: prepare(a, bad),
+        "baseline_solve": lambda: baseline_solve(a, u, v, bad),
+        "solve_updated": lambda: solve_updated(base, upd, ws, bad),
+        "solve_many": lambda: solve_many(base, upd, ws, bad),
+        "ata_solve": lambda: ata_solve(base, bad),
+    }[fn]
+    got = re.escape(str(() if shape is None else shape))
+    with pytest.raises(DimensionMismatch, match=rf"^{_ALLOWED[fn]}, got shape {got}$"):
+        call()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_solve_rejects_non_finite_fresh_rhs(bad):
     rng = np.random.default_rng(21)
