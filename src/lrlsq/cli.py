@@ -126,6 +126,8 @@ def _run_bench(args) -> int:
         m=args.m, n_list=args.n_list, r_list=args.r_list,
         reps=args.reps, seed=args.seed,
     )
+    # An --out that cannot be written fails here, not after the sweep.
+    open(args.out, "a").close()
     records = run_benchmark(cfg)
     write_bench_csv(args.out, records)
     print(f"{'n':>6} {'r':>4} {'median speedup':>16} {'mean ms scratch':>16} "

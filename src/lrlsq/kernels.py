@@ -10,21 +10,21 @@ LAPACK/BLAS through numpy, so one BLAS thread pool serves them. On-disk
 exchange is column-major (see ``lrlsq.mio``); in-memory stride order is
 whatever the underlying routine produces.
 
-There are two base QRs with one contract: each takes a tall a and an
-optional length-m b, and returns the tuple ``(rinv, qtb)``, the inverse of
-the upper-triangular factor r, whose diagonal is positive, and qtb
-``q.T @ b`` (None without b), without forming q. The package applies r
-only through products with its inverse, so ``x = rinv @ qtb`` is the
-least squares solution for b. ``cholesky_qr`` runs certified
+There are two base QRs with one contract: each takes a tall a and a
+length-m b, and returns the tuple ``(rinv, qtb)``, the inverse of the
+upper-triangular factor r, whose diagonal is positive, and qtb
+``q.T @ b``, without forming q. The package applies r only through
+products with its inverse, so ``x = rinv @ qtb`` is the least squares
+solution for b. ``cholesky_qr`` runs certified
 CholeskyQR2: two Gram passes over a, in row blocks, with no m x n copy,
 and one plain product ``R1^{-1} R2^{-1}`` for rinv.
 It returns None when it cannot certify that its r is as good as a
 Householder r, that is, when a is ill-conditioned for its size, or when
 its result is not finite. ``householder_qr`` always applies and raises
 from ``_screen``: r and qtb must be finite and r must pass a rank test.
-It factors a, or ``[a | b]``, optionally with a rank-r term ``u @ v.T``
-added to a, in one Fortran-ordered copy that it frees before it inverts
-r. ``woodbury.prepare`` tries ``cholesky_qr`` first and falls back to
+It factors ``[a | b]``, optionally with a rank-r term ``u @ v.T`` added
+to a, in one Fortran-ordered copy that it frees before it inverts r.
+``woodbury.prepare`` tries ``cholesky_qr`` first and falls back to
 ``householder_qr``. The from-scratch comparator ``baseline_solve`` stays
 on Householder alone: it needs no certificate, and the measured speedups
 are quoted against it.
@@ -105,7 +105,8 @@ def _screen(r: np.ndarray, qtb: Optional[np.ndarray], m: int, what: str = "a") -
     ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual backward-stable
     threshold. what names the factored matrix in the messages. The rows of
     r and the entries of qtb are then multiplied by the returned signs, so
-    factors are reproducible across LAPACK builds.
+    factors are reproducible across LAPACK builds. qtb is None only for
+    ``qr_thin``, which has no b.
     """
     n = r.shape[0]
     if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
@@ -126,11 +127,11 @@ def _screen(r: np.ndarray, qtb: Optional[np.ndarray], m: int, what: str = "a") -
     return sign
 
 
-def householder_qr(a, b=None, u=None, v=None) -> tuple:
+def householder_qr(a, b, u=None, v=None) -> tuple:
     """R^{-1} and ``q.T @ b`` of a tall a, or of ``a + u @ v.T``, by
     Householder QR.
 
-    Copies a (and b) once into Fortran order, block by block, and runs
+    Copies a and b once into Fortran order, block by block, and runs
     LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``. None
     of a, b, u, v is modified. The copy is freed once r and qtb are read
     off it, before r is screened and inverted, so the inversion's n x n
@@ -141,22 +142,22 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
     ``v @ u[i:j].T`` by BLAS and then a's block added in place, so no
     m x n array but that buffer is made.
 
-    With b, this is Golub's Householder least squares method: the
-    transformations that triangularize a also carry b, so the top n
-    entries of the last column are ``q.T @ b``, and ``rinv @ qtb`` solves
-    ``min ||a x - b||`` with no q at all.
+    This is Golub's Householder least squares method: the transformations
+    that triangularize a also carry b, so the top n entries of the last
+    column are ``q.T @ b``, and ``rinv @ qtb`` solves ``min ||a x - b||``
+    with no q at all.
 
     Parameters
     ----------
     a : (m, n) array, m >= n
-    b : (m,) array, optional. A NaN or infinity in b shows in qtb only
-        where a reflector carries it there, so a caller that cannot rule
-        them out screens b itself.
+    b : (m,) array. A NaN or infinity in b shows in qtb only where a
+        reflector carries it there, so a caller that cannot rule them out
+        screens b itself.
     u, v : (m, r) and (n, r) arrays, optional, given together.
 
     Returns the tuple ``(rinv, qtb)``: rinv is the n x n inverse of r,
     upper triangular with a positive diagonal and C-contiguous (see
-    ``invert_upper_triangular``); qtb is None without b.
+    ``invert_upper_triangular``); qtb is ``q.T @ b``, length n.
 
     Raises
     ------
@@ -170,10 +171,9 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``.
     """
     m, n = a.shape
-    cols = n if b is None else n + 1
     # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
     # No view of it outlives the block that uses it, so ``del qt`` frees it.
-    qt = np.empty((cols, m))
+    qt = np.empty((n + 1, m))
     # A finite update may overflow here; the screen below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, m, COPY_BLOCK):
@@ -183,18 +183,17 @@ def householder_qr(a, b=None, u=None, v=None) -> tuple:
             else:
                 np.add(np.matmul(v, u[rows].T, out=qt[:n, rows]), a[rows].T,
                        out=qt[:n, rows])
-    if b is not None:
-        qt[n] = b
-    tau = np.empty(min(m, cols))
-    _lapack_lite(lapack_lite.dgeqrf, m, cols, qt, max(1, m), tau)
+    qt[n] = b
+    tau = np.empty(min(m, n + 1))
+    _lapack_lite(lapack_lite.dgeqrf, m, n + 1, qt, max(1, m), tau)
     r = np.triu(qt[:n, :n].T)
-    qtb = None if b is None else qt[n, :n].copy()
+    qtb = qt[n, :n].copy()
     del qt
     _screen(r, qtb, m, "a" if u is None else "a + u v.T")
     return invert_upper_triangular(r), qtb
 
 
-def cholesky_qr(a, b=None) -> Optional[tuple]:
+def cholesky_qr(a, b) -> Optional[tuple]:
     """R^{-1} and ``q.T @ b`` of a tall a by certified CholeskyQR2, or None.
 
     CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44,
@@ -244,7 +243,7 @@ def cholesky_qr(a, b=None) -> Optional[tuple]:
             return None
 
 
-def _cholesky_qr2(a: np.ndarray, b: Optional[np.ndarray]) -> Optional[tuple]:
+def _cholesky_qr2(a: np.ndarray, b: np.ndarray) -> Optional[tuple]:
     """The body of ``cholesky_qr``, under its ``np.errstate``."""
     m, n = a.shape
     g = a.T @ a
@@ -268,18 +267,18 @@ def _cholesky_qr2(a: np.ndarray, b: Optional[np.ndarray]) -> Optional[tuple]:
     del g2
     r2inv = invert_upper_triangular(l2.T)
     del l2
-    qtb = None if b is None else q1tb @ r2inv
+    qtb = q1tb @ r2inv
     rinv = r1inv @ r2inv
-    if not (np.isfinite(rinv).all() and (qtb is None or np.isfinite(qtb).all())):
+    if not (np.isfinite(rinv).all() and np.isfinite(qtb).all()):
         return None
     return rinv, qtb
 
 
-def _second_pass(a: np.ndarray, b: Optional[np.ndarray], r1inv: np.ndarray) -> tuple:
+def _second_pass(a: np.ndarray, b: np.ndarray, r1inv: np.ndarray) -> tuple:
     """CholeskyQR2's second pass: ``(G2, q1tb)`` for ``Q1 = a R1^{-1}``.
 
     G2 is ``Q1.T Q1`` with only its lower triangle summed, the one that
-    ``np.linalg.cholesky`` reads, and q1tb is ``Q1.T b`` (zeros without b).
+    ``np.linalg.cholesky`` reads, and q1tb is ``Q1.T b``.
     Row blocks of Q1 are formed in one buffer, a ``TRIANGULAR_PANEL`` of
     columns at a time over the rows of R1^{-1} down to the panel's
     diagonal block, and each panel's rows of G2 are summed as soon as it
@@ -301,8 +300,7 @@ def _second_pass(a: np.ndarray, b: Optional[np.ndarray], r1inv: np.ndarray) -> t
             np.matmul(panel.T, panel, out=part[:k - j, j:k])
             np.matmul(panel.T, q1[:, :j], out=part[:k - j, :j])
             g2[j:k, :k] += part[:k - j, :k]
-        if b is not None:
-            q1tb += b[i:i + rows] @ q1
+        q1tb += b[i:i + rows] @ q1
     return g2, q1tb
 
 

@@ -51,7 +51,6 @@ workspaces, and one workspace many right-hand sides, concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -66,8 +65,8 @@ class PreparedBase:
     a    : the m x n base matrix.
     rinv : n x n inverse of the upper-triangular QR factor R of a;
            read-only.
-    b, x0: optionally, one bound right-hand side and its base least squares
-           solution; read-only copies.
+    b, x0: the bound right-hand side and its base least squares solution;
+           read-only copies.
 
     Plain arrays, none of them written after construction, so one base is
     safe to share across updates and threads.
@@ -77,8 +76,8 @@ class PreparedBase:
     m: int
     n: int
     rinv: np.ndarray
-    b: Optional[np.ndarray] = None
-    x0: Optional[np.ndarray] = None
+    b: np.ndarray
+    x0: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -191,12 +190,10 @@ def _require_finite(x: np.ndarray, name: str) -> None:
 
 
 def _base_matrix(a) -> np.ndarray:
-    """Check the shape of a base matrix: 2-D, m >= n."""
+    """Check the shape of a base matrix: 2-D, m >= n >= 1."""
     a = _real(a, "a")
-    if a.ndim != 2:
-        raise DimensionMismatch(f"a must be a 2-D matrix, got ndim={a.ndim}")
-    if a.shape[0] < a.shape[1]:
-        raise DimensionMismatch(f"base requires m >= n, got shape {a.shape}")
+    if a.ndim != 2 or not a.shape[0] >= a.shape[1] >= 1:
+        raise DimensionMismatch(f"a must be an (m, n) matrix, m >= n >= 1, got shape {a.shape}")
     return a
 
 
@@ -220,7 +217,7 @@ def updated_normal_residual(a, u, v, x, b) -> float:
     return scale * float(np.linalg.norm(g / scale))
 
 
-def prepare(a, b=None) -> PreparedBase:
+def prepare(a, b) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
     Factors a, and carries b along, without forming Q, and without copying
@@ -236,20 +233,20 @@ def prepare(a, b=None) -> PreparedBase:
     inverse is kept. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is then two
     matrix products with it (:func:`ata_solve`).
 
-    If ``b`` is given, the base solution ``x0 = R^{-1} (Q.T b)``, with
-    ``Q.T b`` read off the factorization, is computed and bound to it, at
-    the price of one n x n by n product. A different right-hand side
-    later costs three passes over ``a`` (:func:`base_lstsq`).
+    The base solution ``x0 = R^{-1} (Q.T b)``, with ``Q.T b`` read off the
+    factorization, is computed and bound to b, at the price of one n x n
+    by n product. A different right-hand side later costs three passes
+    over ``a`` (:func:`base_lstsq`). A caller with no preferred
+    right-hand side passes any one of its vectors.
 
-    Raises DimensionMismatch unless a is 2-D with m >= n and b, if given,
-    is a length-m vector; NonFiniteValue when a or b holds NaN or
-    infinity; and RankDeficient when a lacks full column rank.
+    Raises DimensionMismatch unless a is 2-D with m >= n >= 1 and b is a
+    length-m vector; NonFiniteValue when a or b holds NaN or infinity;
+    and RankDeficient when a lacks full column rank.
     """
     a = _base_matrix(a)
     m, n = a.shape
-    if b is not None:
-        b = _operand(b, "b", m, (1,))
-        _require_finite(b, "b")
+    b = _operand(b, "b", m, (1,))
+    _require_finite(b, "b")
     factors = kernels.cholesky_qr(a, b)
     if factors is None:
         # cholesky_qr declines on any NaN or infinity in a, which makes the
@@ -258,10 +255,8 @@ def prepare(a, b=None) -> PreparedBase:
         _require_finite(a, "a")
         factors = kernels.householder_qr(a, b)
     rinv, qtb = factors
-    x0 = None
-    if b is not None:
-        b, x0 = _freeze(b.copy()), _freeze(rinv @ qtb)
-    return PreparedBase(a=a, m=m, n=n, rinv=_freeze(rinv), b=b, x0=x0)
+    return PreparedBase(a=a, m=m, n=n, rinv=_freeze(rinv), b=_freeze(b.copy()),
+                        x0=_freeze(rinv @ qtb))
 
 
 def ata_solve(base: PreparedBase, c) -> np.ndarray:
@@ -344,7 +339,7 @@ def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     ``np.array_equal`` compares shapes, so a block never matches the bound
     vector b and each of its columns takes :func:`base_lstsq`.
     """
-    if base.x0 is not None and np.array_equal(b, base.b):
+    if np.array_equal(b, base.b):
         x0 = base.x0
     else:
         # The bound b was screened by prepare; any other b is screened here,

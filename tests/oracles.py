@@ -36,7 +36,7 @@ def pinv_update_explicit(a, u, v) -> np.ndarray:
     (update kills full rank).
     """
     upd = LowRankUpdate(u, v)
-    base = prepare(a)
+    base = prepare(a, np.zeros(upd.u.shape[0]))
     ws = build_workspace(base, upd)
     return solve_many(base, upd, ws, np.eye(base.m))
 

@@ -177,7 +177,7 @@ def test_criterion_5_zero_update_and_rank_drop():
         r = int(rng.integers(1, min(3, n) + 1))
         a, u, v = rank_drop_instance(rng, m, n, r)
         try:
-            build_workspace(prepare(a), LowRankUpdate(u, v))
+            build_workspace(prepare(a, np.zeros(m)), LowRankUpdate(u, v))
         except SingularCapacitance:
             caught += 1
 

@@ -63,7 +63,7 @@ def test_matches_qr_ata_solver():
     a = rng.standard_normal((200, 20))
     c = rng.standard_normal((20, 3))
     z_cg, _ = normal_cg_solve(a, c)
-    z_qr = ata_solve(prepare(a), c)
+    z_qr = ata_solve(prepare(a, np.zeros(200)), c)
     assert np.linalg.norm(z_cg - z_qr) <= 1e-8 * np.linalg.norm(z_qr)
 
 
@@ -108,5 +108,5 @@ def test_matrix_free_contract():
     # only vector products were requested: nothing n x n can have been built
     assert all(ndim == 1 for _, ndim in log)
     assert {kind for kind, _ in log} == {"matvec", "rmatvec"}
-    z_ref = ata_solve(prepare(mat), c)
+    z_ref = ata_solve(prepare(mat, np.zeros(30)), c)
     assert np.linalg.norm(z - z_ref) <= 1e-8 * np.linalg.norm(z_ref)

@@ -70,7 +70,21 @@ def test_rank_dropping_update_maps_to_exit_5(worked_instance, tmp_path, capsys):
     worked_instance["u"] = u_path
     rc = cli_main(_solve_args(worked_instance))
     assert rc == 5
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "updated matrix appears rank-deficient" in err
+
+
+def test_non_conforming_update_maps_to_exit_3(worked_instance, tmp_path, capsys):
+    # V has n + 1 rows: a valid update, but of a matrix other than A.
+    v_path = str(tmp_path / "v_tall.mtx")
+    write_matrix(v_path, np.ones((A32.shape[1] + 1, 1)))
+    worked_instance["v"] = v_path
+    rc = cli_main(_solve_args(worked_instance))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "does not conform" in err
 
 
 def test_malformed_file_maps_to_exit_3(worked_instance, tmp_path, capsys):
@@ -140,6 +154,17 @@ def test_bench_rejects_grid_with_invalid_pair(tmp_path, capsys):
     assert rc == 3
     assert "min(n_list) >= max(r_list)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_unwritable_out_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr("lrlsq.cli.run_benchmark", lambda cfg: calls.append(cfg) or [])
+    rc = cli_main(["bench", "--m", "50", "--n-list", "5", "--r-list", "2", "--reps", "1",
+                   "--seed", "1", "--out", str(tmp_path / "missing" / "b.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not calls
 
 
 def test_bench_bad_list_is_usage_error(capsys):

@@ -42,7 +42,8 @@ def _every_entry_point(out: Path) -> None:
     ws = build_workspace(base, upd)
     # n > TRIANGULAR_LEAF takes the recursive inverse of R; a graded base
     # of cond 1e10 fails CholeskyQR2's certificate and takes Householder.
-    wide = prepare(rng.standard_normal((4 * TRIANGULAR_LEAF, TRIANGULAR_LEAF + 6)))
+    wide = prepare(rng.standard_normal((4 * TRIANGULAR_LEAF, TRIANGULAR_LEAF + 6)),
+                   np.zeros(4 * TRIANGULAR_LEAF))
     graded = np.linalg.qr(rng.standard_normal((m, n)))[0] * np.geomspace(1.0, 1e-10, n)
     assert cholesky_qr(graded, b) is None
     graded = prepare(graded, b)

@@ -89,7 +89,7 @@ def test_prepare_rejects_non_finite_input(bad):
     with pytest.raises(NonFiniteValue, match="a contains"):
         prepare(a_bad, b)
     with pytest.raises(NonFiniteValue, match="a contains"):
-        prepare(np.asfortranarray(a_bad))
+        prepare(np.asfortranarray(a_bad), b)
     b_bad = b.copy()
     b_bad[7] = bad
     with pytest.raises(NonFiniteValue, match="b contains"):
@@ -99,13 +99,13 @@ def test_prepare_rejects_non_finite_input(bad):
 # --------------------------------------------------------------- ata_solve
 
 def test_ata_solve_identity():
-    base = prepare(np.eye(3))
+    base = prepare(np.eye(3), np.zeros(3))
     c = np.arange(6.0).reshape(3, 2)
     np.testing.assert_array_equal(ata_solve(base, c), c)
 
 
 def test_ata_solve_diagonal_hand_checked():
-    base = prepare(np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    base = prepare(np.array([[2.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), np.zeros(3))
     np.testing.assert_allclose(ata_solve(base, np.array([1.0, 1.0])), [0.25, 1.0],
                                atol=1e-15)
 
@@ -115,12 +115,12 @@ def test_ata_solve_constructed_solution():
     a = rng.standard_normal((30, 8))
     w = rng.standard_normal((8, 2))
     c = (a.T @ a) @ w
-    z = ata_solve(prepare(a), c)
+    z = ata_solve(prepare(a, np.zeros(30)), c)
     np.testing.assert_allclose(z, w, rtol=1e-10, atol=1e-12)
 
 
 def test_ata_solve_dimension_mismatch():
-    base = prepare(np.eye(3))
+    base = prepare(np.eye(3), np.zeros(3))
     with pytest.raises(DimensionMismatch):
         ata_solve(base, np.ones(2))
     # Neither a vector nor a block: a scalar has no rows to check, and a
@@ -136,14 +136,14 @@ def test_ata_solve_dimension_mismatch():
 def test_workspace_zero_update_builds():
     rng = np.random.default_rng(14)
     a = rng.standard_normal((12, 5))
-    base = prepare(a)
+    base = prepare(a, np.zeros(12))
     ws = build_workspace(base, LowRankUpdate(np.zeros((12, 2)), rng.standard_normal((5, 2))))
     assert 0.0 < ws.cap_rcond <= 1.0
     assert ws.z.shape == (5, 4) and ws.yt.shape == (4, 5)
 
 
 def test_workspace_rank_drop_fixture():
-    base = prepare(A32)
+    base = prepare(A32, B32)
     upd = LowRankUpdate(np.array([[-1.0], [0.0], [0.0]]), np.array([[1.0], [0.0]]))
     with pytest.raises(SingularCapacitance):
         build_workspace(base, upd)
@@ -154,7 +154,7 @@ def test_workspace_rank_drop_has_one_threshold_and_one_message():
     # capacitance determinant is d^2. At d = 1e-8 its rcond is at roundoff
     # level; at d = 1e-7 it lies above 2r eps but below 2r eps CAP_GUARD.
     # Both are rank drop, and both say so in the same words.
-    base = prepare(A32)
+    base = prepare(A32, B32)
     v = np.array([[1.0], [0.0]])
     lo, hi = 2 * kernels.EPS, 2 * kernels.EPS * kernels.CAP_GUARD
     messages = []
@@ -194,7 +194,7 @@ def test_workspace_reuses_first_block_for_v():
 
 
 def test_workspace_dimension_mismatch():
-    base = prepare(np.eye(4))
+    base = prepare(np.eye(4), np.zeros(4))
     with pytest.raises(DimensionMismatch):
         build_workspace(base, LowRankUpdate(np.ones((3, 1)), np.ones((3, 1))))
 
@@ -366,7 +366,7 @@ def test_fresh_rhs_within_sensitivity_bound(cond, residual, monkeypatch):
 def _prepare_by_householder(a, b, monkeypatch):
     """prepare on its Householder path alone: CholeskyQR2 made to decline."""
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "cholesky_qr", lambda a, b=None: None)
+        patch.setattr(kernels, "cholesky_qr", lambda a, b: None)
         return prepare(a, b)
 
 
@@ -425,25 +425,36 @@ def test_prepare_reads_finiteness_of_a_only_on_householder_path(monkeypatch):
 
 
 @pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (12, 1), (30, 5)])
-@pytest.mark.parametrize("with_b", [True, False])
-def test_prepare_edge_shapes(m, n, with_b):
+def test_prepare_edge_shapes(m, n):
     # m = n: [a | b] is wider than tall; m = n + 1: b has one row left below
     # the top n; n = 1: a single reflector.
     rng = np.random.default_rng(m * 10 + n)
     a = rng.standard_normal((m, n)) + 3.0 * np.eye(m, n)
     b, b2 = rng.standard_normal((2, m))
-    base = prepare(a, b if with_b else None)
-    if with_b:
-        ref = _explicit_q_solve(a, b)
-        assert np.linalg.norm(base.x0 - ref) <= 1e-13 * np.linalg.norm(ref)
-    else:
-        assert base.b is None and base.x0 is None
+    base = prepare(a, b)
+    ref = _explicit_q_solve(a, b)
+    assert np.linalg.norm(base.x0 - ref) <= 1e-13 * np.linalg.norm(ref)
     ref2 = _explicit_q_solve(a, b2)
     assert np.linalg.norm(base_lstsq(base, b2) - ref2) <= 1e-13 * np.linalg.norm(ref2)
     upd = LowRankUpdate(rng.standard_normal((m, 1)), rng.standard_normal((n, 1)))
     x = solve_updated(base, upd, build_workspace(base, upd), b2).x
     x_ref = baseline_solve(a, upd.u, upd.v, b2)
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4), (5, 0), (0, 0), (5, 2, 2)], ids=str)
+@pytest.mark.parametrize("fn", ["prepare", "baseline_solve"])
+def test_base_matrix_shape_mismatch(fn, shape):
+    # A base is an (m, n) matrix with m >= n >= 1: no update of 1 <= r <= n
+    # conforms to one with no columns. b and u have a's first axis, so only
+    # a is wrong.
+    a = np.ones(shape)
+    b, u, v = np.ones(len(a)), np.ones((len(a), 1)), np.ones((1, 1))
+    call = {"prepare": lambda: prepare(a, b),
+            "baseline_solve": lambda: baseline_solve(a, u, v, b)}[fn]
+    with pytest.raises(DimensionMismatch, match=r"^a must be an \(m, n\) matrix, m >= n >= 1, "
+                                                 rf"got shape {re.escape(str(shape))}$"):
+        call()
 
 
 def test_update_shape_validation():
@@ -531,7 +542,7 @@ def test_normal_equations_certificate_at_extreme_scale():
     want = s * updated_normal_residual(a, u, v, x, b)
     got = updated_normal_residual(s * a, u, s * v, x / s, b)
     assert abs(got - want) <= 1e-12 * want
-    base = prepare(s * a)
+    base = prepare(s * a, b)
     upd = LowRankUpdate(u, s * v)
     x = solve_updated(base, upd, build_workspace(base, upd), b).x
     assert np.isfinite(updated_normal_residual(s * a, u, s * v, x, b))
@@ -909,6 +920,6 @@ def test_rank_drop_instances_raise_singular_capacitance():
         n = int(rng.integers(2, m // 2 + 2))
         r = int(rng.integers(1, min(3, n) + 1))
         a, u, v = rank_drop_instance(rng, m, n, r)
-        base = prepare(a)
+        base = prepare(a, np.zeros(m))
         with pytest.raises(SingularCapacitance):
             build_workspace(base, LowRankUpdate(u, v))
