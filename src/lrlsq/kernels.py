@@ -10,27 +10,24 @@ LAPACK/BLAS through numpy, so one BLAS thread pool serves them. On-disk
 exchange is column-major (see ``lrlsq.mio``); in-memory stride order is
 whatever the underlying routine produces.
 
-There are two base QRs with one contract: each takes a tall a and a
-length-m b, and returns the tuple ``(rinv, qtb)``, the inverse of the
-upper-triangular factor r, whose diagonal is positive, and qtb
-``q.T @ b``, without forming q. The package applies r only through
-products with its inverse, so ``x = rinv @ qtb`` is the least squares
-solution for b. ``cholesky_qr`` runs certified
-CholeskyQR2: two Gram passes over a, in row blocks, with no m x n copy,
-and one plain product ``R1^{-1} R2^{-1}`` for rinv.
-It returns None when it cannot certify that its r is as good as a
-Householder r, that is, when a is ill-conditioned for its size, or when
-its result is not finite. ``householder_qr`` always applies and raises
-from ``_screen``: r and qtb must be finite and r must pass a rank test.
-It factors ``[a | b]``, optionally with a rank-r term ``u @ v.T`` added
-to a, in one Fortran-ordered copy that it frees before it inverts r.
-``woodbury.prepare`` tries ``cholesky_qr`` first and falls back to
-``householder_qr``. The from-scratch comparator ``baseline_solve`` stays
-on Householder alone: it needs no certificate, and the measured speedups
-are quoted against it.
+``woodbury.prepare`` needs the inverse of an upper-triangular r with
+``r.T r = a.T a``, whose diagonal is positive, and the least squares
+solution for one b. ``cholesky_rinv`` gives rinv from one Gram pass over
+a, with no m x n copy, and returns None when it cannot certify it: when
+a is too ill-conditioned for a Cholesky r, or when its result is not
+finite. ``prepare`` then solves for b by CSNE through rinv. Past the
+certificate it runs ``householder_qr``, which takes a tall a and a
+length-m b and returns the tuple ``(rinv, qtb)``, qtb ``q.T @ b``
+without forming q, so ``x = rinv @ qtb`` is the least squares solution
+for b. It always applies and raises from ``_screen``: r and qtb must be
+finite and r must pass a rank test. It factors ``[a | b]``, optionally
+with a rank-r term ``u @ v.T`` added to a, in one Fortran-ordered copy
+that it frees before it inverts r. The from-scratch comparator
+``baseline_solve`` stays on Householder alone: it needs no certificate,
+and the measured speedups are quoted against it.
 
 ``qr_thin`` is ``np.linalg.qr`` behind the same screen: a reference that
-forms q, independent of the two QRs above, kept with ``QRFactors`` only
+forms q, independent of the two kernels above, kept with ``QRFactors`` only
 for tests and for the benchmark's ``kernels.qr_thin`` layer until that
 layer is replaced.
 
@@ -60,11 +57,9 @@ COPY_BLOCK = 256
 # hands to ``np.linalg.inv``.
 TRIANGULAR_LEAF = 64
 
-# Most rows of a per block of ``cholesky_qr``'s second pass (blocks have
-# 2n rows, at least 512), and columns per panel of that pass: per product
-# with R1^{-1} and per panel of its second Gram matrix.
-GRAM_BLOCK = 2048
-TRIANGULAR_PANEL = 256
+# ``cholesky_rinv`` certifies its r when ``kappa^2 eps <= TAU``, kappa a
+# bound on cond(r); fitted on graded bases, see its docstring.
+TAU = 1e-4
 
 # ``lu_factor_checked`` rejects a p x p system unless its rcond is at least
 # ``p * eps * CAP_GUARD``. Genuine rank drop puts the rcond at roundoff
@@ -193,121 +188,69 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
     return invert_upper_triangular(r), qtb
 
 
-def cholesky_qr(a, b) -> Optional[tuple]:
-    """R^{-1} and ``q.T @ b`` of a tall a by certified CholeskyQR2, or None.
+def cholesky_rinv(a) -> Optional[np.ndarray]:
+    """R^{-1} of a tall a by one Gram pass and a Cholesky factorization,
+    or None.
 
-    CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 44,
-    2015) takes ``R1 = chol(a.T a)'``, then ``q1 = a R1^{-1}`` and
-    ``R2 = chol(q1.T q1)'``, so that ``r = R2 R1``: two Gram passes over
-    a, all BLAS-3, and no m x n copy. The second pass walks row blocks of
-    q1 through one buffer and carries b along, so
-    ``q.T @ b = R2^{-T} (q1.T b)`` with no q. It sums the lower triangle
-    of ``q1.T q1`` straight into G2, one ``TRIANGULAR_PANEL`` of rows at
-    a time as soon as that panel of q1 is formed, so no n x n Gram
-    temporary is made. A block has 2n rows, within [512, ``GRAM_BLOCK``],
-    so it holds about as much as two n x n arrays. Each block costs
-    n x n sums besides its products, which makes much shorter blocks
-    slower at large n. r itself is never formed: ``R2^{-1}`` is the one
-    inverse taken after the pass, and ``r^{-1} = R1^{-1} R2^{-1}`` and
-    ``q.T @ b = (q1.T b) R2^{-1}`` (as a row) are products with it.
+    Forms ``g = a.T @ a`` (one syrk over a, no m x n copy), ``r =
+    chol(g)'`` and ``rinv = invert_upper_triangular(r)``. The package
+    applies r only through ``(a.T a)^{-1} = r^{-1} r^{-T}``, so an r with
+    ``r.T r`` close to ``a.T a`` is all it needs; no q is formed, and none
+    is made orthogonal. It returns no ``q.T @ b``: ``woodbury.prepare``
+    takes the base solution by the corrected seminormal equations (CSNE;
+    Björck 1987, LAA 88/89) through rinv. Beside a it holds at most
+    about 3.25 n^2 doubles: g goes once r is formed, and the inversion
+    holds r, a copy of its upper triangle, rinv and a quarter-size
+    temporary.
 
-    Beside a and b it holds about four n x n arrays at most; the second
-    pass holds ``R1^{-1}``, G2, the block and a panel of G2. R1 goes once
-    kappa is certified, the block goes with the pass, and G2 before
-    ``R2`` is inverted, when ``R1^{-1}``, L2 and ``q1.T b`` are all that
-    is left. At m = 20000, n = 1000 the tracemalloc peak is 32.7 MiB,
-    4.3 n^2 doubles.
+    It certifies r when ``kappa^2 eps <= TAU``, with kappa the Hoelder
+    bound ``sqrt(||r||_1 ||rinv||_1 ||r||_inf ||rinv||_inf)``, which is at
+    least cond_2(r): 7 to 17 times cond(a) on graded 2000 x 100 a, 20 to
+    44 times at 6000 x 300 and 65 to 129 times at 20000 x 1000. Björck's
+    CSNE analysis assumes r from a backward-stable QR, and a Cholesky r
+    falls outside it, so this envelope is measured, not proved: on graded
+    2000 x 100 and 6000 x 300 a it certifies through cond(a) = 3e4 and
+    1e4, and wherever it certifies, the CSNE solution stays within the
+    least squares sensitivity bound (see
+    ``test_fresh_rhs_within_sensitivity_bound``). No rank test is needed:
+    a certified kappa is at most ``sqrt(TAU / eps)``, about 6.7e5, below
+    the rank threshold ``1 / (m eps)`` of ``householder_qr`` for any
+    m < 6e9.
 
-    r is as orthogonal a factor as Householder's when
-    ``delta = 8 kappa sqrt((m n + n (n + 1)) u) <= 1`` (the paper's
-    sufficient condition, u = eps / 2). kappa here is the Hoelder bound
-    ``sqrt(||R1||_1 ||R1^{-1}||_1 ||R1||_inf ||R1^{-1}||_inf)``, which is
-    at least cond_2(R1). The Frobenius bound is looser still (20x at
-    m = 20000, n = 1000) and would turn away well-conditioned a with n in
-    the thousands. No rank test is needed: ``delta <= 1`` bounds cond(r)
-    by about ``1 / (8 sqrt(m n u))``, which is below the rank threshold
-    ``1 / (m eps)`` of ``householder_qr`` whenever ``m < 32 n / eps``.
-
-    Returns the tuple ``(rinv, qtb)`` as ``householder_qr`` does, or None
-    when it cannot vouch for the result: a Cholesky factorization fails,
-    delta > 1 or is NaN, the Gram matrix is not finite or so small that
-    underflow outweighs its roundoff, or rinv or qtb is not finite. It
-    then emits no warning; a caller falls back to ``householder_qr``,
-    which raises the matching error, if any. It raises nothing of its
-    own.
+    Returns the n x n upper-triangular, C-contiguous rinv, or None when
+    it cannot vouch for it: ``a.T a`` is not finite or so small that
+    underflow outweighs its roundoff, the Cholesky factorization fails,
+    or ``kappa^2 eps > TAU``; a NaN or infinity in rinv makes kappa NaN
+    or infinite and is declined with it. It then emits no warning; a
+    caller falls back to ``householder_qr``, which raises the matching
+    error, if any. It raises nothing of its own.
     """
+    m, n = a.shape
     with np.errstate(all="ignore"):
+        g = a.T @ a
+        # Underflow in a.T a adds up to m n subnormal spacings to g, which
+        # the certificate's roundoff model leaves out; below this scale it
+        # could pass an r that misstates cond(a).
+        if not (np.isfinite(g).all()
+                and g.diagonal().max(initial=0.0) > 2.0 * m * n * SUBNORMAL / EPS):
+            return None
         try:
-            return _cholesky_qr2(a, b)
+            r = np.linalg.cholesky(g).T
+            del g
+            rinv = invert_upper_triangular(r)
         except np.linalg.LinAlgError:
             return None
-
-
-def _cholesky_qr2(a: np.ndarray, b: np.ndarray) -> Optional[tuple]:
-    """The body of ``cholesky_qr``, under its ``np.errstate``."""
-    m, n = a.shape
-    g = a.T @ a
-    # Underflow in a.T a adds up to m n subnormal spacings to g, which the
-    # certificate's roundoff model leaves out; below this scale it could
-    # pass an R1 that misstates cond(a).
-    if not (np.isfinite(g).all()
-            and g.diagonal().max(initial=0.0) > 2.0 * m * n * SUBNORMAL / EPS):
+        kappa2 = (np.linalg.norm(r, 1) * np.linalg.norm(rinv, 1)
+                  * np.linalg.norm(r, np.inf) * np.linalg.norm(rinv, np.inf))
+    if not kappa2 * EPS <= TAU:
         return None
-    r1 = np.linalg.cholesky(g).T
-    del g
-    r1inv = invert_upper_triangular(r1)
-    kappa = np.sqrt(np.linalg.norm(r1, 1) * np.linalg.norm(r1inv, 1)
-                    * np.linalg.norm(r1, np.inf) * np.linalg.norm(r1inv, np.inf))
-    # Pass 2 and everything after it need only R1^{-1}.
-    del r1
-    if not 8.0 * kappa * np.sqrt((m * n + n * (n + 1)) * EPS / 2.0) <= 1.0:
-        return None
-    g2, q1tb = _second_pass(a, b, r1inv)
-    l2 = np.linalg.cholesky(g2)
-    del g2
-    r2inv = invert_upper_triangular(l2.T)
-    del l2
-    qtb = q1tb @ r2inv
-    rinv = r1inv @ r2inv
-    if not (np.isfinite(rinv).all() and np.isfinite(qtb).all()):
-        return None
-    return rinv, qtb
-
-
-def _second_pass(a: np.ndarray, b: np.ndarray, r1inv: np.ndarray) -> tuple:
-    """CholeskyQR2's second pass: ``(G2, q1tb)`` for ``Q1 = a R1^{-1}``.
-
-    G2 is ``Q1.T Q1`` with only its lower triangle summed, the one that
-    ``np.linalg.cholesky`` reads, and q1tb is ``Q1.T b``.
-    Row blocks of Q1 are formed in one buffer, a ``TRIANGULAR_PANEL`` of
-    columns at a time over the rows of R1^{-1} down to the panel's
-    diagonal block, and each panel's rows of G2 are summed as soon as it
-    is formed: the diagonal block by syrk, the block to its left by one
-    product, both into one panel-sized buffer. The buffers go on return.
-    """
-    m, n = a.shape
-    g2 = np.zeros((n, n))
-    q1tb = np.zeros(n)
-    rows = min(GRAM_BLOCK, max(512, 2 * n), m)
-    block = np.empty((rows, n))
-    part = np.empty((min(TRIANGULAR_PANEL, n), n))
-    for i in range(0, m, rows):
-        q1 = block[:min(rows, m - i)]
-        for j in range(0, n, TRIANGULAR_PANEL):
-            k = min(j + TRIANGULAR_PANEL, n)
-            panel = q1[:, j:k]
-            np.matmul(a[i:i + rows, :k], r1inv[:k, j:k], out=panel)
-            np.matmul(panel.T, panel, out=part[:k - j, j:k])
-            np.matmul(panel.T, q1[:, :j], out=part[:k - j, :j])
-            g2[j:k, :k] += part[:k - j, :k]
-        q1tb += b[i:i + rows] @ q1
-    return g2, q1tb
+    return rinv
 
 
 def qr_thin(a) -> QRFactors:
     """Thin QR of a tall full-column-rank a: ``np.linalg.qr`` and the screen.
 
-    A reference, independent of the two QRs above, for tests and the
+    A reference, independent of the two kernels above, for tests and the
     benchmark's ``kernels.qr_thin`` layer. r and q take the signs that
     give r a nonnegative diagonal; a is not modified. Raises from the
     screen as ``householder_qr`` does: NonFiniteValue or RankDeficient.
@@ -324,9 +267,9 @@ def invert_upper_triangular(r) -> np.ndarray:
     ``[[X11, -(X11 @ R12) @ X22], [0, X22]]`` for ``Xii = Rii^{-1}``; the
     diagonal blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
     ``np.linalg.inv`` takes over. About 2n^3 / 3 flops, all but the
-    leaves in gemm, so it runs as fast as trtri's n^3 / 3. The base QRs
-    return the inverse in place of r, and the package applies r only
-    through products with it.
+    leaves in gemm, so it runs as fast as trtri's n^3 / 3. Both base
+    kernels return the inverse in place of r, and the package applies r
+    only through products with it.
 
     Only the upper triangle of r is read.
     The result is upper triangular and C-contiguous, so that products

@@ -17,17 +17,18 @@ solver detects and rejects rank-dropping updates. The n x n correction is
 never materialized; ``prepare``/``build_workspace``/``solve_updated`` carry
 only z (n x 2r), yt (2r x n) and the 2r x 2r capacitance.
 
-``prepare`` gets R^{-1} and ``Q.T b`` for the bound b without forming Q.
-It tries certified CholeskyQR2 first (``kernels.cholesky_qr``): two Gram
-passes over ``a`` in row blocks, with no copy of ``a``. Past its
-certificate, on an ``a`` that is ill-conditioned for its size, it factors
-``[a | b]`` by Householder QR in one (n + 1) x m buffer. Either QR hands
-back R^{-1}, not R, and ``prepare`` keeps only that inverse, so a prepared
-base holds n^2 + n doubles beyond ``a`` and the bound b. Any other
-right-hand side is solved by the corrected seminormal equations (CSNE;
-Björck 1987, LAA 88/89), from ``a`` and R^{-1} alone. One solve body
-serves a vector b and an m x k block, so the k columns of a block share
-every pass over ``a``.
+``prepare`` gets R^{-1}, for an R with ``R.T R = a.T a``, without forming
+Q. It first tries one Gram pass over ``a`` and a Cholesky factorization
+(``kernels.cholesky_rinv``), with no copy of ``a``, and solves for the
+bound b by the corrected seminormal equations (CSNE; Björck 1987, LAA
+88/89) through that R^{-1}. Past its certificate, on an ``a`` that is
+ill-conditioned for a Cholesky R, it factors ``[a | b]`` by Householder
+QR in one (n + 1) x m buffer and reads ``Q.T b`` off it. Either way
+``prepare`` keeps only R^{-1}, so a prepared base holds n^2 + n doubles
+beyond ``a`` and the bound b. Any other right-hand side is solved by the
+same CSNE body, from ``a`` and R^{-1} alone. One solve body serves a
+vector b and an m x k block, so the k columns of a block share every
+pass over ``a``.
 
 ``z`` then costs two n x n by n x 2r products instead of two triangular
 solves. Skinny products are written with the skinny operand on the left,
@@ -220,23 +221,22 @@ def updated_normal_residual(a, u, v, x, b) -> float:
 def prepare(a, b) -> PreparedBase:
     """Factor the base matrix once, for reuse across many updates.
 
-    Factors a, and carries b along, without forming Q, and without copying
-    ``a`` when it can. Certified CholeskyQR2 (``kernels.cholesky_qr``)
-    makes two Gram passes over ``a`` in row blocks. Beside ``a`` it holds
-    a few n x n arrays and one block of at most ``kernels.GRAM_BLOCK``
-    rows. When it cannot certify its R, because cond(a) is too large for
-    a's size, ``[a | b]`` is factored by Householder QR in one
-    (n + 1) x m buffer instead, at the cost of the Gram pass already made.
-    That buffer is dropped before R is inverted. Either QR returns R^{-1},
-    from n x n inversions of about 2 n^3 / 3 flops each (CholeskyQR2's
-    two, Householder's one) beside the QR's 2 m n^2, and only that
-    inverse is kept. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is then two
-    matrix products with it (:func:`ata_solve`).
+    Gets R^{-1}, for an R with ``R.T R = a.T a``, without forming Q, and
+    without copying ``a`` when it can. ``kernels.cholesky_rinv`` makes one
+    Gram pass over ``a`` and holds about 3.25 n^2 doubles beside it. The
+    base solution x0 for b is then CSNE through that R^{-1} (the body of
+    :func:`base_lstsq`): three more passes over ``a``. When it cannot
+    certify its R, because cond(a) is too large for a Cholesky R,
+    ``[a | b]`` is factored by Householder QR in one (n + 1) x m buffer
+    instead, at the cost of the Gram pass already made, and
+    ``x0 = R^{-1} (Q.T b)`` with ``Q.T b`` read off the factorization.
+    That buffer is dropped before R is inverted. Each path inverts its R
+    once, about 2 n^3 / 3 flops, so a declined a pays for two inversions;
+    only the inverse is kept. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is
+    then two matrix products with it (:func:`ata_solve`).
 
-    The base solution ``x0 = R^{-1} (Q.T b)``, with ``Q.T b`` read off the
-    factorization, is computed and bound to b, at the price of one n x n
-    by n product. A different right-hand side later costs three passes
-    over ``a`` (:func:`base_lstsq`). A caller with no preferred
+    x0 is bound to b. A different right-hand side later costs three
+    passes over ``a`` (:func:`base_lstsq`). A caller with no preferred
     right-hand side passes any one of its vectors.
 
     Raises DimensionMismatch unless a is 2-D with m >= n >= 1 and b is a
@@ -247,16 +247,18 @@ def prepare(a, b) -> PreparedBase:
     m, n = a.shape
     b = _operand(b, "b", m, (1,))
     _require_finite(b, "b")
-    factors = kernels.cholesky_qr(a, b)
-    if factors is None:
-        # cholesky_qr declines on any NaN or infinity in a, which makes the
-        # matching diagonal entry of a.T a non-finite; only this path needs
-        # the pass over a that names it.
+    rinv = kernels.cholesky_rinv(a)
+    if rinv is not None:
+        x0 = _csne(a, rinv, b)
+    else:
+        # cholesky_rinv declines on any NaN or infinity in a, which makes
+        # the matching diagonal entry of a.T a non-finite; only this path
+        # needs the pass over a that names it.
         _require_finite(a, "a")
-        factors = kernels.householder_qr(a, b)
-    rinv, qtb = factors
+        rinv, qtb = kernels.householder_qr(a, b)
+        x0 = rinv @ qtb
     return PreparedBase(a=a, m=m, n=n, rinv=_freeze(rinv), b=_freeze(b.copy()),
-                        x0=_freeze(rinv @ qtb))
+                        x0=_freeze(x0))
 
 
 def ata_solve(base: PreparedBase, c) -> np.ndarray:
@@ -267,10 +269,24 @@ def ata_solve(base: PreparedBase, c) -> np.ndarray:
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
     """
-    c = _operand(c, "c", base.n, (1, 2))
+    return _ata_solve(base.rinv, _operand(c, "c", base.n, (1, 2)))
+
+
+def _ata_solve(rinv: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` for a checked c."""
     # (R^{-T} c).T = c.T R^{-1}, then R^{-1} y = (y.T R^{-T}).T: both
     # products keep the skinny operand on the left of the n x n inverse.
-    return ((c.T @ base.rinv) @ base.rinv.T).T
+    return ((c.T @ rinv) @ rinv.T).T
+
+
+def _csne(a: np.ndarray, rinv: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """CSNE for a length-m c or an m x k block c: the seminormal solve,
+    then one correction step on its residual (see :func:`base_lstsq`)."""
+    # The skinny operand goes on the left of a (see the module docstring).
+    x = _ata_solve(rinv, (c.T @ a).T)
+    res = c - (x.T @ a.T).T
+    x += _ata_solve(rinv, (res.T @ a).T)
+    return x
 
 
 def base_lstsq(base: PreparedBase, c) -> np.ndarray:
@@ -289,14 +305,10 @@ def base_lstsq(base: PreparedBase, c) -> np.ndarray:
     step keeps it within the bound up to cond 1e8 (``kappa^2 eps`` about
     2; 0.01x the bound) but not at cond 1e10 (about 2e4), where a zero
     residual leaves it 41x over, while ``prepare``'s ``x0`` for the bound
-    right-hand side stays under it. The tests gate it up to cond 1e6.
+    right-hand side, from Householder QR at that cond(a), stays under it.
+    The tests gate it up to cond 1e6.
     """
-    a = base.a
-    # The skinny operand goes on the left of a (see the module docstring).
-    x = ata_solve(base, (c.T @ a).T)
-    res = c - (x.T @ a.T).T
-    x += ata_solve(base, (res.T @ a).T)
-    return x
+    return _csne(base.a, base.rinv, c)
 
 
 def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:

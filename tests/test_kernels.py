@@ -11,9 +11,7 @@ from lrlsq.kernels import (
     CAP_GUARD,
     COPY_BLOCK,
     EPS,
-    GRAM_BLOCK,
-    TRIANGULAR_PANEL,
-    cholesky_qr,
+    cholesky_rinv,
     householder_qr,
     invert_upper_triangular,
     lu_factor_checked,
@@ -179,61 +177,50 @@ def test_householder_qr_non_finite_qtb(bad):
         householder_qr(np.random.default_rng(5).standard_normal((20, 4)), b)
 
 
-# ------------------------------------------------------------- cholesky_qr
+# ----------------------------------------------------------- cholesky_rinv
 
-@pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (GRAM_BLOCK + 5, 7),
-                                 (3 * TRIANGULAR_PANEL, TRIANGULAR_PANEL + 3),
-                                 (GRAM_BLOCK + 5, GRAM_BLOCK // 2 + 3)])
+@pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (2053, 7), (768, 259), (2053, 1027)])
 def test_cholesky_qr_matches_householder_qr(m, n):
-    # Row blocks have 2n rows, at least 512 and at most GRAM_BLOCK; each
-    # large shape leaves a short last block. n > TRIANGULAR_PANEL splits
-    # the triangular products.
+    # n = 259 and 1027 take the recursive inverse several levels down.
     rng = np.random.default_rng(m * 100 + n)
     a = rng.standard_normal((m, n)) + 3.0 * np.eye(m, n)
     b = rng.standard_normal(m)
-    got = cholesky_qr(a, b)
-    assert got is not None
-    rinv, qtb = got
-    ref_rinv, ref_qtb = householder_qr(a, b)
+    rinv = cholesky_rinv(a)
+    assert rinv is not None
+    ref_rinv, _ = householder_qr(a, b)
     np.testing.assert_array_equal(np.tril(rinv, -1), 0.0)
     assert rinv.flags.c_contiguous
     assert np.linalg.norm(rinv - ref_rinv) <= 1e-14 * np.linalg.norm(ref_rinv)
-    assert np.linalg.norm(qtb - ref_qtb) <= 1e-14 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_cholesky_qr_leaves_input_untouched(order):
     rng = np.random.default_rng(19)
-    a = np.array(rng.standard_normal((GRAM_BLOCK + 5, 9)), order=order)
-    b = rng.standard_normal(a.shape[0])
-    keep_a, keep_b = a.copy(order="K"), b.copy()
-    assert cholesky_qr(a, b) is not None
-    np.testing.assert_array_equal(a, keep_a)
-    np.testing.assert_array_equal(b, keep_b)
+    a = np.array(rng.standard_normal((2053, 9)), order=order)
+    keep = a.copy(order="K")
+    assert cholesky_rinv(a) is not None
+    np.testing.assert_array_equal(a, keep)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", ["zero", "repeated column", "ill-conditioned", "nan in a",
-                                  "inf in a", "nan in b", "1e-300", "1e-160", "1e200"])
+                                  "inf in a", "1e-300", "1e-160", "1e200"])
 def test_cholesky_qr_declines_quietly(case):
     rng = np.random.default_rng(20)
     a = rng.standard_normal((50, 6))
-    b = rng.standard_normal(50)
     if case == "zero":
         a[:] = 0.0
     elif case == "repeated column":
         a[:, 3] = a[:, 1]
     elif case == "ill-conditioned":
-        # cond 1e8 passes the rank screen, but puts delta far above 1.
+        # cond 1e8 passes the rank screen, but puts kappa^2 eps far above TAU.
         q, _ = np.linalg.qr(rng.standard_normal((50, 6)))
         a = q * np.geomspace(1.0, 1e-8, 6)
     elif case in ("nan in a", "inf in a"):
         a[4, 2] = np.nan if case == "nan in a" else np.inf
-    elif case == "nan in b":
-        b[4] = np.nan
     else:
         a *= float(case)
-    assert cholesky_qr(a, b) is None
+    assert cholesky_rinv(a) is None
 
 
 # ------------------------------------------ R^{-1} b, the library's solve

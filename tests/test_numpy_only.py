@@ -9,7 +9,7 @@ import numpy as np
 import lrlsq
 from oracles import pinv_update_explicit
 from lrlsq.cli import cli_main
-from lrlsq.kernels import TRIANGULAR_LEAF, cholesky_qr
+from lrlsq.kernels import TRIANGULAR_LEAF, cholesky_rinv
 from lrlsq.mio import read_matrix, write_matrix
 from lrlsq.woodbury import (
     LowRankUpdate,
@@ -41,11 +41,11 @@ def _every_entry_point(out: Path) -> None:
     upd = LowRankUpdate(u, v)
     ws = build_workspace(base, upd)
     # n > TRIANGULAR_LEAF takes the recursive inverse of R; a graded base
-    # of cond 1e10 fails CholeskyQR2's certificate and takes Householder.
+    # of cond 1e10 fails cholesky_rinv's certificate and takes Householder.
     wide = prepare(rng.standard_normal((4 * TRIANGULAR_LEAF, TRIANGULAR_LEAF + 6)),
                    np.zeros(4 * TRIANGULAR_LEAF))
     graded = np.linalg.qr(rng.standard_normal((m, n)))[0] * np.geomspace(1.0, 1e-10, n)
-    assert cholesky_qr(graded, b) is None
+    assert cholesky_rinv(graded) is None
     graded = prepare(graded, b)
     for name, mat in [("a", a), ("b", b), ("u", u), ("v", v)]:
         write_matrix(str(out / f"{name}.mtx"), mat)

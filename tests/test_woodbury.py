@@ -12,7 +12,7 @@ from conftest import draw_family, draw_instance, rank_drop_instance
 from oracles import numerical_rank, pinv_oracle, pinv_update_explicit
 from lrlsq.errors import DimensionMismatch, NonFiniteValue, RankDeficient, SingularCapacitance
 from lrlsq import kernels, woodbury
-from lrlsq.kernels import GRAM_BLOCK, qr_thin
+from lrlsq.kernels import qr_thin
 from lrlsq.woodbury import (
     LowRankUpdate,
     ata_solve,
@@ -55,8 +55,8 @@ def test_prepare_hand_checked():
 
 
 def test_prepare_rank_deficient():
-    # CholeskyQR2 declines a rank-deficient a, and the Householder QR it
-    # falls back to names the cause, in its own words.
+    # cholesky_rinv declines a rank-deficient a, and the Householder QR
+    # prepare falls back to names the cause, in its own words.
     col = np.arange(1.0, 5.0)[:, None]
     rng = np.random.default_rng(40)
     wide = rng.standard_normal((2000, 100))
@@ -230,10 +230,11 @@ def test_update_path_matches_triangular_solves():
 
 
 def test_prepare_and_baseline_solve_stay_off_numpy_qr(monkeypatch):
-    # The library's QRs form no q: CholeskyQR2, or LAPACK geqrf in place on
-    # one Fortran-ordered copy. numpy's qr would add two m x n transposes,
-    # and scipy's would wake scipy's BLAS pool just before the update
-    # path's numpy products. Only the reference kernels.qr_thin calls one.
+    # The library forms no q: one Gram pass and a Cholesky factorization,
+    # or LAPACK geqrf in place on one Fortran-ordered copy. numpy's qr
+    # would add two m x n transposes, and scipy's would wake scipy's BLAS
+    # pool just before the update path's numpy products. Only the
+    # reference kernels.qr_thin calls one.
     rng = np.random.default_rng(18)
     a, b, u, v, base_ref, _ = draw_instance(rng, 300, 40, 3)
     x_ref = baseline_solve(a, u, v, b)
@@ -327,28 +328,40 @@ def _counting_householder_qr(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cond", [1e2, 1e4, 1e6, 1e10])
+# The graded shapes of the accuracy grid, each with the largest cond(a) at
+# which cholesky_rinv certifies its R there. A cell's id names its shape
+# unless that is 2000 x 100.
+CERTIFIED_THROUGH = {(2000, 100): 3e4, (6000, 300): 1e4}
+ENVELOPE = [pytest.param(m, n, cond, id=repr(cond) if m == 2000 else f"{cond!r}-{m}x{n}")
+            for m, n in CERTIFIED_THROUGH for cond in [1e2, 1e4, 3e4, 1e5, 1e6, 1e10]]
+
+
+@pytest.mark.parametrize("m,n,cond", ENVELOPE)
 @pytest.mark.parametrize("residual", ["zero", "large"])
-def test_fresh_rhs_within_sensitivity_bound(cond, residual, monkeypatch):
+def test_fresh_rhs_within_sensitivity_bound(m, n, cond, residual, monkeypatch):
     # The first-order least squares sensitivity bound (Wedin 1973):
     # kappa eps + kappa^2 eps ||r|| / (||a|| ||x||). The bound base solution
-    # stays under it on both of prepare's paths (0.40x at worst here). The
+    # stays under it on both of prepare's paths (0.39x at worst here). The
     # corrected seminormal equations do too up to cond 1e6 (0.39x at
     # worst); the seminormal solve alone exceeds it on every zero-residual
     # case, by up to five orders of magnitude at cond 1e6. At cond 1e10 one
     # correction step no longer suffices: cond^2 eps > 1, and CSNE lands
-    # 41x over the bound with a zero residual.
-    # CholeskyQR2 certifies while 8 kappa sqrt((m n + n (n + 1)) u), about
-    # 3.9e-5 kappa at this shape, is at most 1, for kappa the Hoelder bound
-    # on cond(R1), which here is 10 to 17 times cond(a): cond 1e2 takes
-    # it, 1e4 and up fall back to Householder QR.
+    # 41x (2000 x 100) and 96x (6000 x 300) over the bound with a zero
+    # residual.
+    # cholesky_rinv certifies while kappa^2 eps <= TAU = 1e-4, for kappa
+    # the Hoelder bound on cond(R), which is 7 to 17 times cond(a) at
+    # 2000 x 100 and 20 to 44 times at 6000 x 300 (cond 1e2 to 1e6):
+    # certified through cond 3e4 and 1e4, Householder QR above.
+    # Certified, x0 is CSNE through the Cholesky R^{-1}. Björck's analysis
+    # of CSNE assumes a backward-stable R, so this grid is the evidence
+    # for TAU.
     calls = _counting_householder_qr(monkeypatch)
     rng = np.random.default_rng(36)
-    a, p = _graded(rng, 2000, 100, cond)
-    ax = a @ rng.standard_normal(100)
+    a, p = _graded(rng, m, n, cond)
+    ax = a @ rng.standard_normal(n)
     b = ax
     if residual == "large":
-        r = rng.standard_normal(2000)
+        r = rng.standard_normal(m)
         r -= p @ (p.T @ r)
         b = ax + (np.linalg.norm(ax) / np.linalg.norm(r)) * r
     ref = np.linalg.lstsq(a, b, rcond=None)[0]
@@ -356,7 +369,7 @@ def test_fresh_rhs_within_sensitivity_bound(cond, residual, monkeypatch):
     bound = kappa_eps + cond * kappa_eps * np.linalg.norm(b - a @ ref) / (
         np.linalg.norm(a, 2) * np.linalg.norm(ref))
     base = prepare(a, b)
-    assert len(calls) == (0 if cond <= 1e2 else 1)
+    assert len(calls) == (0 if cond <= CERTIFIED_THROUGH[m, n] else 1)
     assert np.linalg.norm(base.x0 - ref) <= bound * np.linalg.norm(ref)
     if cond <= 1e6:
         x = base_lstsq(base, b)
@@ -364,14 +377,14 @@ def test_fresh_rhs_within_sensitivity_bound(cond, residual, monkeypatch):
 
 
 def _prepare_by_householder(a, b, monkeypatch):
-    """prepare on its Householder path alone: CholeskyQR2 made to decline."""
+    """prepare on its Householder path alone: cholesky_rinv made to decline."""
     with monkeypatch.context() as patch:
-        patch.setattr(kernels, "cholesky_qr", lambda a, b: None)
+        patch.setattr(kernels, "cholesky_rinv", lambda a: None)
         return prepare(a, b)
 
 
 def test_certified_prepare_matches_householder_prepare(monkeypatch):
-    # m spans three row blocks of 2n rows, n two triangular panels.
+    # The Cholesky R^{-1} and the CSNE x0 against R^{-1} and R^{-1} Q'b.
     rng = np.random.default_rng(39)
     a = rng.standard_normal((3000, 600))
     b = rng.standard_normal(a.shape[0])
@@ -406,7 +419,7 @@ def test_declined_prepare_is_householder_prepare(case, monkeypatch):
 
 
 def test_prepare_reads_finiteness_of_a_only_on_householder_path(monkeypatch):
-    # A certified CholeskyQR2 already vouches that a is finite; only the
+    # A certified cholesky_rinv already vouches that a is finite; only the
     # Householder fallback screens a itself.
     calls = []
     real = woodbury._require_finite
@@ -811,12 +824,12 @@ def test_baseline_rejects_bad_update_shape(u_shape, v_shape):
 def test_factorization_holds_one_buffer(fn):
     # tracemalloc sees numpy's buffers. Householder QR factors [. | b] in
     # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
-    # it, with no m x n temporaries of its own. prepare's CholeskyQR2 makes
-    # no such buffer: it holds about four n x n arrays, or two, a panel of
-    # G2 and its one row block of 2n rows (at least 512, at most
-    # GRAM_BLOCK). When it declines, Householder QR drops its buffer
-    # before it inverts R, so R and that inversion's n x n arrays never sit
-    # beside it.
+    # it, with no m x n temporaries of its own. prepare's cholesky_rinv
+    # makes no such buffer: it holds 3.25 n^2 doubles at large n (R, the
+    # copy of its triangle that it inverts, R^{-1} and a quarter-size
+    # temporary), and 3.97 n^2 at this n, where small temporaries weigh
+    # more. The CSNE x0 after it holds R^{-1} and two length-m vectors. When it declines, Householder QR drops its buffer before it
+    # inverts R, so R and that inversion's n x n arrays never sit beside it.
     rng = np.random.default_rng(37)
     m, n = (6000, 200) if fn == "prepare_ill_conditioned" else (3000, 100)
     a = rng.standard_normal((m, n))
@@ -828,9 +841,8 @@ def test_factorization_holds_one_buffer(fn):
             "prepare": lambda: prepare(a, b),
             "prepare_ill_conditioned": lambda: prepare(ill, b)}[fn]
     buffer = (n + 1) * m * 8
-    rows = min(GRAM_BLOCK, max(512, 2 * n), m)
     bound = {"baseline_solve": 1.25 * buffer,
-             "prepare": 8 * (4 * n * n + rows * n),
+             "prepare": 8 * 4 * n * n,
              "prepare_ill_conditioned": buffer + 2 * n * n * 8}[fn]
     tracemalloc.start()
     try:
@@ -841,36 +853,11 @@ def test_factorization_holds_one_buffer(fn):
     assert peak <= bound
 
 
-@pytest.mark.parametrize("m,n", [(3000, 100), (3000, 600)])
-def test_cholesky_qr_frees_row_block_before_back_substitution(m, n, monkeypatch):
-    # cholesky_qr inverts twice: R1, then R2 = chol(G2)' after pass 2, which
-    # gives Q'b with no back substitution. Where the R2 inversion starts,
-    # it holds R1^{-1}, L2 and q1tb: the row block and G2 are gone.
-    rng = np.random.default_rng(44)
-    a = rng.standard_normal((m, n))
-    b = rng.standard_normal(m)
-    held = []
-    real = kernels.invert_upper_triangular
-
-    def recording(*args):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return real(*args)
-
-    monkeypatch.setattr(kernels, "invert_upper_triangular", recording)
-    tracemalloc.start()
-    try:
-        assert kernels.cholesky_qr(a, b) is not None
-    finally:
-        tracemalloc.stop()
-    # 2 n^2 doubles, q1tb's n and a few Python objects.
-    assert len(held) == 2 and held[1] <= 8 * (2 * n * n + n) + 4096
-
-
-def test_prepare_inverts_twice(monkeypatch):
-    # Certified, CholeskyQR2 inverts R1 and R2 and hands prepare R^{-1}
-    # with no third inversion of R. Declined past its certificate (at cond
-    # 1e6 the first Cholesky factorization succeeds and delta is far above
-    # 1), it has inverted R1, and Householder QR inverts its R.
+def test_prepare_inverts_once_when_certified_twice_when_declined(monkeypatch):
+    # Certified, cholesky_rinv inverts its R and prepare takes x0 by CSNE
+    # through that inverse. Declined past its certificate (at cond 1e6 the
+    # Cholesky factorization succeeds and kappa^2 eps is far above TAU), it
+    # has inverted its R, and Householder QR inverts its own.
     calls = []
     real = kernels.invert_upper_triangular
 
@@ -883,7 +870,7 @@ def test_prepare_inverts_twice(monkeypatch):
     b = rng.standard_normal(400)
     householder = _counting_householder_qr(monkeypatch)
     prepare(rng.standard_normal((400, 40)), b)
-    assert calls == [(40, 40)] * 2 and not householder
+    assert calls == [(40, 40)] and not householder
     calls.clear()
     prepare(_graded(rng, 400, 40, 1e6)[0], b)
     assert calls == [(40, 40)] * 2 and len(householder) == 1
