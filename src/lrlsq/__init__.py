@@ -3,12 +3,12 @@
 Prepare a tall full-rank base matrix once, then solve
 ``min ||b - (a + u v.T) x||_2`` for many updates and right-hand sides at a
 fraction of the cost of refactoring; ``updated_normal_residual`` certifies
-any solution. See ``lrlsq.woodbury`` for the solver, ``lrlsq.bench`` for
-the timing harness, ``lrlsq.mio`` for the file formats, and ``lrlsq.cli``
-for the command line.
+any solution. The package exports the solver of ``lrlsq.woodbury`` and
+the errors of ``lrlsq.errors``. The timing harness (``lrlsq.bench``), the
+file formats (``lrlsq.mio``) and the command line (``lrlsq.cli``) are
+imported from their modules.
 """
 
-from .bench import BenchConfig, gen_gaussian, run_benchmark, stream_id
 from .errors import (
     DimensionMismatch,
     LrlsqError,
@@ -17,7 +17,6 @@ from .errors import (
     RankDeficient,
     SingularCapacitance,
 )
-from .mio import BenchRecord, CSV_HEADER, read_matrix, write_bench_csv, write_matrix
 from .woodbury import (
     LowRankUpdate,
     PreparedBase,
@@ -35,9 +34,6 @@ from .woodbury import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchConfig",
-    "BenchRecord",
-    "CSV_HEADER",
     "DimensionMismatch",
     "LowRankUpdate",
     "LrlsqError",
@@ -51,14 +47,8 @@ __all__ = [
     "ata_solve",
     "baseline_solve",
     "build_workspace",
-    "gen_gaussian",
     "prepare",
-    "read_matrix",
-    "run_benchmark",
     "solve_many",
     "solve_updated",
-    "stream_id",
     "updated_normal_residual",
-    "write_bench_csv",
-    "write_matrix",
 ]

@@ -26,10 +26,10 @@ that it frees before it inverts r. The from-scratch comparator
 ``baseline_solve`` stays on Householder alone: it needs no certificate,
 and the measured speedups are quoted against it.
 
-``qr_thin`` is ``np.linalg.qr`` behind the same screen: a reference that
-forms q, independent of the two kernels above, kept with ``QRFactors`` only
-for tests and for the benchmark's ``kernels.qr_thin`` layer until that
-layer is replaced.
+``qr_thin`` is ``np.linalg.qr`` and nothing else: the package does not
+call it, and it stays only because the benchmark's ``kernels.qr_thin``
+layer times it. The tests take their reference q and r from
+``tests/oracles.py``.
 
 Every function is pure: inputs are never modified, results are fresh
 arrays, so they are safe to call concurrently on shared read-only data.
@@ -38,7 +38,7 @@ Results are deterministic for a fixed BLAS build and thread count.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -67,18 +67,6 @@ TAU = 1e-4
 CAP_GUARD = 1e3
 
 
-class QRFactors(NamedTuple):
-    """Thin QR factorization a = q @ r, as ``qr_thin`` returns it.
-
-    q has orthonormal columns (m x n) and r is upper triangular (n x n) with
-    a nonnegative diagonal. For the sizes this package targets, q satisfies
-    ||q.T @ q - I||_F <= 1e-12 * n and ||q @ r - a||_F <= 1e-12 * ||a||_F.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-
-
 def _lapack_lite(routine, *args) -> None:
     """Run a ``numpy.linalg.lapack_lite`` routine with its optimal workspace.
 
@@ -91,7 +79,7 @@ def _lapack_lite(routine, *args) -> None:
     routine(*args, work, work.size, 0)
 
 
-def _screen(r: np.ndarray, qtb: Optional[np.ndarray], m: int, what: str = "a") -> np.ndarray:
+def _screen(r: np.ndarray, qtb: np.ndarray, m: int, what: str) -> None:
     """Screen a QR's r and qtb, then give r a nonnegative diagonal in place.
 
     Raises NonFiniteValue unless r (all of it: an entry above the diagonal
@@ -99,27 +87,23 @@ def _screen(r: np.ndarray, qtb: Optional[np.ndarray], m: int, what: str = "a") -
     are finite, and RankDeficient when some
     ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual backward-stable
     threshold. what names the factored matrix in the messages. The rows of
-    r and the entries of qtb are then multiplied by the returned signs, so
-    factors are reproducible across LAPACK builds. qtb is None only for
-    ``qr_thin``, which has no b.
+    r and the entries of qtb are then multiplied by the signs of r's
+    diagonal, so factors are reproducible across LAPACK builds.
     """
     n = r.shape[0]
-    if not (np.isfinite(r).all() and (qtb is None or np.isfinite(qtb).all())):
-        what = what if qtb is None else f"[{what} | b]"
+    if not (np.isfinite(r).all() and np.isfinite(qtb).all()):
         raise NonFiniteValue(
-            f"{what} of shape ({m}, {n + (qtb is not None)}) contains NaN or infinite entries"
+            f"[{what} | b] of shape ({m}, {n + 1}) contains NaN or infinite entries"
         )
     diag = np.abs(np.diag(r))
     if n > 0 and diag.min() <= m * EPS * diag.max():
         raise RankDeficient(
-            f"matrix of shape ({m}, {n}) is numerically rank-deficient "
+            f"{what} of shape ({m}, {n}) is numerically rank-deficient "
             f"(min |R_ii| = {diag.min():.3e}, max = {diag.max():.3e})"
         )
     sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     r *= sign[:, None]
-    if qtb is not None:
-        qtb *= sign
-    return sign
+    qtb *= sign
 
 
 def householder_qr(a, b, u=None, v=None) -> tuple:
@@ -247,17 +231,10 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
     return rinv
 
 
-def qr_thin(a) -> QRFactors:
-    """Thin QR of a tall full-column-rank a: ``np.linalg.qr`` and the screen.
-
-    A reference, independent of the two kernels above, for tests and the
-    benchmark's ``kernels.qr_thin`` layer. r and q take the signs that
-    give r a nonnegative diagonal; a is not modified. Raises from the
-    screen as ``householder_qr`` does: NonFiniteValue or RankDeficient.
-    """
-    q, r = np.linalg.qr(a)
-    q *= _screen(r, None, a.shape[0])
-    return QRFactors(q=q, r=r)
+def qr_thin(a) -> tuple:
+    """``np.linalg.qr(a)``, unscreened: the call that the benchmark's
+    ``kernels.qr_thin`` layer times. The package does not call it."""
+    return np.linalg.qr(a)
 
 
 def invert_upper_triangular(r) -> np.ndarray:

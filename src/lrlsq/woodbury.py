@@ -1,10 +1,10 @@
 """Least squares solves for low-rank-updated matrices.
 
-Given a tall matrix ``a`` (m x n, full column rank) whose thin QR
-factorization is already available, the minimizer of ``||b - (a + u @ v.T) x||``
-can be recovered from a handful of products with ``a`` plus one small
-2r x 2r linear system, instead of refactoring the modified matrix from
-scratch. The arithmetic cost drops from O(m n^2) to O((r + k) m n) for k
+Given a tall matrix ``a`` (m x n, full column rank) that has been
+prepared once, the minimizer of ``||b - (a + u @ v.T) x||`` can be
+recovered from a handful of products with ``a`` plus one small 2r x 2r
+linear system, instead of refactoring the modified matrix from scratch.
+The arithmetic cost drops from O(m n^2) to O((r + k) m n) for k
 right-hand sides, roughly an n/r-fold saving when r << n.
 
 The machinery: with ``x_blk = [v, a.T @ u]`` (n x 2r) and
@@ -64,8 +64,9 @@ class PreparedBase:
     """Reusable solver state for one base matrix, built by :func:`prepare`.
 
     a    : the m x n base matrix.
-    rinv : n x n inverse of the upper-triangular QR factor R of a;
-           read-only.
+    rinv : n x n inverse of an upper-triangular R with a positive
+           diagonal and ``R.T R = a.T a``: the Cholesky factor of
+           ``a.T a`` when certified, else Householder QR's R; read-only.
     b, x0: the bound right-hand side and its base least squares solution;
            read-only copies.
 
@@ -74,8 +75,6 @@ class PreparedBase:
     """
 
     a: np.ndarray
-    m: int
-    n: int
     rinv: np.ndarray
     b: np.ndarray
     x0: np.ndarray
@@ -244,8 +243,7 @@ def prepare(a, b) -> PreparedBase:
     and RankDeficient when a lacks full column rank.
     """
     a = _base_matrix(a)
-    m, n = a.shape
-    b = _operand(b, "b", m, (1,))
+    b = _operand(b, "b", a.shape[0], (1,))
     _require_finite(b, "b")
     rinv = kernels.cholesky_rinv(a)
     if rinv is not None:
@@ -257,8 +255,7 @@ def prepare(a, b) -> PreparedBase:
         _require_finite(a, "a")
         rinv, qtb = kernels.householder_qr(a, b)
         x0 = rinv @ qtb
-    return PreparedBase(a=a, m=m, n=n, rinv=_freeze(rinv), b=_freeze(b.copy()),
-                        x0=_freeze(x0))
+    return PreparedBase(a=a, rinv=_freeze(rinv), b=_freeze(b.copy()), x0=_freeze(x0))
 
 
 def ata_solve(base: PreparedBase, c) -> np.ndarray:
@@ -269,7 +266,7 @@ def ata_solve(base: PreparedBase, c) -> np.ndarray:
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
     """
-    return _ata_solve(base.rinv, _operand(c, "c", base.n, (1, 2)))
+    return _ata_solve(base.rinv, _operand(c, "c", base.a.shape[1], (1, 2)))
 
 
 def _ata_solve(rinv: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -307,7 +304,12 @@ def base_lstsq(base: PreparedBase, c) -> np.ndarray:
     residual leaves it 41x over, while ``prepare``'s ``x0`` for the bound
     right-hand side, from Householder QR at that cond(a), stays under it.
     The tests gate it up to cond 1e6.
+
+    Raises DimensionMismatch unless c is a length-m vector or an m x k
+    block, k >= 1, and NonFiniteValue when c holds NaN or infinity.
     """
+    c = _operand(c, "c", base.a.shape[0], (1, 2))
+    _require_finite(c, "c")
     return _csne(base.a, base.rinv, c)
 
 
@@ -324,13 +326,13 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
     full column rank, and NonFiniteValue when the capacitance overflows, as
     it does for a finite update far larger than a.
     """
-    _conforming(upd, base.m, base.n)
+    _conforming(upd, *base.a.shape)
     u, v, r = upd.u, upd.v, upd.rank
     with np.errstate(over="ignore", invalid="ignore"):
         uta = u.T @ base.a
         x_blk = np.hstack([v, uta.T])
         yt = np.vstack([uta + (u.T @ u) @ v.T, v.T])
-        z = ata_solve(base, x_blk)
+        z = _ata_solve(base.rinv, x_blk)
         cap = np.eye(2 * r) + yt @ z
     if not np.isfinite(cap).all():
         raise NonFiniteValue(
@@ -349,7 +351,8 @@ def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     """The update solve for a length-m vector b or an m x k block b.
 
     ``np.array_equal`` compares shapes, so a block never matches the bound
-    vector b and each of its columns takes :func:`base_lstsq`.
+    vector b and each of its columns takes the CSNE solve of
+    :func:`base_lstsq`.
     """
     if np.array_equal(b, base.b):
         x0 = base.x0
@@ -357,7 +360,7 @@ def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
         # The bound b was screened by prepare; any other b is screened here,
         # beside the pass over the base that its solve costs anyway.
         _require_finite(b, "b")
-        x0 = base_lstsq(base, b)
+        x0 = _csne(base.a, base.rinv, b)
     w = x0 + ws.z[:, : ws.rank] @ (upd.u.T @ b)
     return w - ws.z @ np.linalg.solve(ws.cap, ws.yt @ w)
 
@@ -385,7 +388,7 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     NonFiniteValue when b is not the bound right-hand side and holds NaN
     or infinity.
     """
-    b = _operand(b, "b", base.m, (1,))
+    b = _operand(b, "b", base.a.shape[0], (1,))
     return SolveOutcome(x=_solve(base, upd, ws, b), cap_rcond=ws.cap_rcond)
 
 
@@ -407,7 +410,7 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     Raises DimensionMismatch for any other shape of bs, and NonFiniteValue
     when any column holds NaN or infinity.
     """
-    return _solve(base, upd, ws, _operand(bs, "bs", base.m, (2,)))
+    return _solve(base, upd, ws, _operand(bs, "bs", base.a.shape[0], (2,)))
 
 
 def baseline_solve(a, u, v, b) -> np.ndarray:

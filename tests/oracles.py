@@ -1,13 +1,26 @@
-"""Test-scale reference routines the library itself does not need: the
-pseudoinverse references, a numerical rank, and the reader of benchmark
-CSV files."""
+"""Test-scale reference routines the library itself does not need: a thin
+QR that forms q, the pseudoinverse references, a numerical rank, and the
+reader of benchmark CSV files."""
 
 import numpy as np
 
 from lrlsq.errors import MalformedHeader
-from lrlsq.kernels import qr_thin
 from lrlsq.mio import CSV_HEADER, BenchRecord
 from lrlsq.woodbury import LowRankUpdate, build_workspace, prepare, solve_many
+
+
+def qr_reference(a) -> tuple:
+    """Thin QR ``(q, r)`` of a tall a by ``np.linalg.qr``, with the signs
+    that give r a nonnegative diagonal; a is not modified.
+
+    It shares no code with the library's QRs, which form no q. It screens
+    nothing: a rank-deficient or non-finite a gives factors to match.
+    """
+    q, r = np.linalg.qr(a)
+    sign = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    q *= sign
+    r *= sign[:, None]
+    return q, r
 
 
 def pinv_oracle(a) -> np.ndarray:
@@ -17,10 +30,10 @@ def pinv_oracle(a) -> np.ndarray:
     Moore-Penrose pseudoinverse for full column rank. Materializes an n x m
     matrix, so this is a test-scale reference, not a solver building block.
     """
-    f = qr_thin(a)
+    q, r = qr_reference(a)
     # Partial pivoting never swaps rows of a triangular r, so this is back
     # substitution; numpy's, as the numpy-only suite imports this module.
-    return np.linalg.solve(f.r, f.q.T)
+    return np.linalg.solve(r, q.T)
 
 
 def pinv_update_explicit(a, u, v) -> np.ndarray:
@@ -38,7 +51,7 @@ def pinv_update_explicit(a, u, v) -> np.ndarray:
     upd = LowRankUpdate(u, v)
     base = prepare(a, np.zeros(upd.u.shape[0]))
     ws = build_workspace(base, upd)
-    return solve_many(base, upd, ws, np.eye(base.m))
+    return solve_many(base, upd, ws, np.eye(upd.u.shape[0]))
 
 
 def numerical_rank(a, tol: float) -> int:
