@@ -31,8 +31,11 @@ call it, and it stays only because the benchmark's ``kernels.qr_thin``
 layer times it. The tests take their reference q and r from
 ``tests/oracles.py``.
 
-Every function is pure: inputs are never modified, results are fresh
-arrays, so they are safe to call concurrently on shared read-only data.
+Every public function is pure: inputs are never modified, results are
+fresh arrays, so they are safe to call concurrently on shared read-only
+data. The private helpers ``_lapack_lite``, ``_screen``,
+``_cholesky_upper`` and ``_invert_upper`` write in place, but only into
+arrays that the kernel calling them has just made.
 Results are deterministic for a fixed BLAS build and thread count.
 """
 
@@ -53,9 +56,13 @@ SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 # 256 x n block of a and its n x 256 image stay in the caches together.
 COPY_BLOCK = 256
 
-# Columns of the largest diagonal block that ``invert_upper_triangular``
-# hands to ``np.linalg.inv``.
+# Columns of the largest diagonal block that the recursive Cholesky
+# factorization and triangular inversion hand to ``np.linalg.cholesky``
+# and ``np.linalg.inv``.
 TRIANGULAR_LEAF = 64
+
+# Rows per block of ``_norm_product``'s absolute values.
+NORM_ROWS = 32
 
 # ``cholesky_rinv`` certifies its r when ``kappa^2 eps <= TAU``, kappa a
 # bound on cond(r); fitted on graded bases, see its docstring.
@@ -176,21 +183,26 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
     """R^{-1} of a tall a by one Gram pass and a Cholesky factorization,
     or None.
 
-    Forms ``g = a.T @ a`` (one syrk over a, no m x n copy), ``r =
-    chol(g)'`` and ``rinv = invert_upper_triangular(r)``. The package
-    applies r only through ``(a.T a)^{-1} = r^{-1} r^{-T}``, so an r with
-    ``r.T r`` close to ``a.T a`` is all it needs; no q is formed, and none
-    is made orthogonal. It returns no ``q.T @ b``: ``woodbury.prepare``
-    takes the base solution by the corrected seminormal equations (CSNE;
-    Björck 1987, LAA 88/89) through rinv. Beside a it holds at most
-    about 3.25 n^2 doubles: g goes once r is formed, and the inversion
-    holds r, a copy of its upper triangle, rinv and a quarter-size
-    temporary.
+    Forms ``g = a.T @ a`` (one syrk over a, no m x n copy), overwrites g
+    with ``r = chol(g)'`` (``_cholesky_upper``) and then r with rinv
+    (``_invert_upper``), and returns g. The package applies r only
+    through ``(a.T a)^{-1} = r^{-1} r^{-T}``, so an r with ``r.T r`` close
+    to ``a.T a`` is all it needs; no q is formed, and none is made
+    orthogonal. It returns no ``q.T @ b``: ``woodbury.prepare`` takes the
+    base solution by the corrected seminormal equations (CSNE; Björck
+    1987, LAA 88/89) through rinv. After the Gram product g is its one
+    n x n array: beside a it holds g and one quarter-size block of the
+    recursion at a time (the Cholesky's solve or trailing update, or the
+    inversion's product), about 1.25 n^2 doubles at large n.
+    ``np.linalg.solve`` also copies its two quarter-size operands into
+    working arrays that tracemalloc does not see.
 
     It certifies r when ``kappa^2 eps <= TAU``, with kappa the Hoelder
-    bound ``sqrt(||r||_1 ||rinv||_1 ||r||_inf ||rinv||_inf)``, which is at
-    least cond_2(r): 7 to 17 times cond(a) on graded 2000 x 100 a, 20 to
-    44 times at 6000 x 300 and 65 to 129 times at 20000 x 1000. Björck's
+    bound ``sqrt(||r||_1 ||rinv||_1 ||r||_inf ||rinv||_inf)``, the norms of
+    r taken before the inversion and those of rinv after it, over row
+    blocks (``_norm_product``). kappa is at least cond_2(r): 7 to 17
+    times cond(a) on graded 2000 x 100 a, 20 to 44 times at 6000 x 300
+    and 65 to 129 times at 20000 x 1000. Björck's
     CSNE analysis assumes r from a backward-stable QR, and a Cholesky r
     falls outside it, so this envelope is measured, not proved: on graded
     2000 x 100 and 6000 x 300 a it certifies through cond(a) = 3e4 and
@@ -219,16 +231,56 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
                 and g.diagonal().max(initial=0.0) > 2.0 * m * n * SUBNORMAL / EPS):
             return None
         try:
-            r = np.linalg.cholesky(g).T
-            del g
-            rinv = invert_upper_triangular(r)
+            _cholesky_upper(g)
+            kappa2 = _norm_product(g)
+            _invert_upper(g, g)
         except np.linalg.LinAlgError:
             return None
-        kappa2 = (np.linalg.norm(r, 1) * np.linalg.norm(rinv, 1)
-                  * np.linalg.norm(r, np.inf) * np.linalg.norm(rinv, np.inf))
+        kappa2 *= _norm_product(g)
     if not kappa2 * EPS <= TAU:
         return None
-    return rinv
+    return g
+
+
+def _cholesky_upper(g: np.ndarray) -> None:
+    """Overwrite a symmetric positive definite g with the upper-triangular
+    r of ``r.T r = g``, zeros below the diagonal, by recursive 2 x 2
+    blocking.
+
+    With ``g = [[G11, G12], [G12.T, G22]]``: ``R11 = chol(G11)'``,
+    ``R12`` solves ``R11.T R12 = G12`` (a backward-stable solve, not a
+    product with an inverse), and ``R22 = chol(G22 - R12.T R12)'``. The
+    diagonal blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
+    ``np.linalg.cholesky`` takes over, so a g that small is factored
+    exactly as that call factors it. Beside g, each level holds one block
+    of a quarter of its size at a time: the solve's result, then the
+    trailing update. Raises LinAlgError where
+    ``np.linalg.cholesky`` finds a block not positive definite.
+    """
+    n = g.shape[0]
+    if n <= TRIANGULAR_LEAF:
+        g[...] = np.linalg.cholesky(g).T
+        return
+    k = n // 2
+    _cholesky_upper(g[:k, :k])
+    g[:k, k:] = np.linalg.solve(g[:k, :k].T, g[:k, k:])
+    r12 = g[:k, k:]
+    g[k:, k:] -= r12.T @ r12
+    g[k:, :k] = 0.0
+    _cholesky_upper(g[k:, k:])
+
+
+def _norm_product(t: np.ndarray) -> float:
+    """``||t||_1 ||t||_inf`` of a square t, summed over blocks of
+    ``NORM_ROWS`` rows so that no temporary of t's size is made; NaN when
+    t holds a NaN."""
+    cols = np.zeros(t.shape[1])
+    rows = np.empty(t.shape[0])
+    for i in range(0, t.shape[0], NORM_ROWS):
+        block = np.abs(t[i:i + NORM_ROWS])
+        cols += block.sum(axis=0)
+        rows[i:i + NORM_ROWS] = block.sum(axis=1)
+    return float(cols.max() * rows.max())
 
 
 def qr_thin(a) -> tuple:
@@ -248,28 +300,35 @@ def invert_upper_triangular(r) -> np.ndarray:
     kernels return the inverse in place of r, and the package applies r
     only through products with it.
 
-    Only the upper triangle of r is read.
-    The result is upper triangular and C-contiguous, so that products
-    ``c @ inv`` with a skinny row-major c run in BLAS's fast orientation.
+    Only the upper triangle of r is read. The inversion runs in place on
+    a C-ordered copy of r, so beside r it holds that copy and one
+    quarter-size product, about 1.25 n^2 doubles at large n;
+    ``cholesky_rinv`` runs the same in-place inversion on its own factor
+    with no copy. The result is upper triangular and C-contiguous, so
+    that products ``c @ inv`` with a skinny row-major c run in BLAS's fast
+    orientation.
 
-    Raises nothing of its own: r is a factor that passed a QR's screen,
-    or a Cholesky factor. A zero diagonal entry makes ``np.linalg.inv``
-    raise LinAlgError.
+    Raises nothing of its own: r is a factor that passed a QR's screen.
+    A zero diagonal entry makes ``np.linalg.inv`` raise LinAlgError.
     """
-    n = r.shape[0]
-    inv = np.zeros((n, n))
-    _invert_upper(np.triu(r), inv)
+    inv = np.array(r, order="C")
+    _invert_upper(inv, inv)
     return inv
 
 
 def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
-    """Write the inverse of the upper-triangular r into out, a zeroed
-    array of r's shape; blocks below the diagonal are not written."""
+    """Write the inverse of the upper triangle of r into out, zeros below
+    its diagonal; out is an array of r's shape, or r itself.
+
+    Each block of out is written only after the blocks of r that it
+    replaces have been read, so the inversion runs in place when out is
+    r.
+    """
     n = r.shape[0]
     if n <= TRIANGULAR_LEAF:
         # Partial pivoting never swaps rows of a triangular matrix, so
         # this is back substitution on the identity.
-        out[...] = np.triu(np.linalg.inv(r))
+        out[...] = np.triu(np.linalg.inv(np.triu(r)))
         return
     k = n // 2
     _invert_upper(r[:k, :k], out[:k, :k])
@@ -277,6 +336,7 @@ def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
     t = out[:k, :k] @ r[:k, k:]
     t *= -1.0
     np.matmul(t, out[k:, k:], out=out[:k, k:])
+    out[k:, :k] = 0.0
 
 
 def lu_factor_checked(c) -> float:

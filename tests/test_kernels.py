@@ -11,6 +11,7 @@ from lrlsq.kernels import (
     CAP_GUARD,
     COPY_BLOCK,
     EPS,
+    _norm_product,
     cholesky_rinv,
     householder_qr,
     invert_upper_triangular,
@@ -209,6 +210,39 @@ def test_cholesky_qr_declines_quietly(case):
     else:
         a *= float(case)
     assert cholesky_rinv(a) is None
+
+
+@pytest.mark.parametrize("cond", [None, 1e4])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_cholesky_rinv_in_place_matches_lapack_cholesky(n, cond):
+    # cholesky_rinv factors and inverts over its Gram matrix. n = 63, 64
+    # and 65 straddle the leaf of the recursive Cholesky and inversion, 129
+    # splits into 64 + 65, and 300 splits three times. cond None is a
+    # Gaussian base; 1e4 a graded one, singular values log-spaced from 1 to
+    # 1e-4, which the certificate still passes at 20 n x n.
+    rng = np.random.default_rng(n)
+    m = 20 * n
+    if cond is None:
+        a = rng.standard_normal((m, n))
+    else:
+        p, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T
+    g = a.T @ a
+    rinv = cholesky_rinv(a)
+    assert rinv is not None
+    r = np.linalg.cholesky(g).T
+    ref = np.linalg.inv(r)
+
+    def defect(x):
+        return np.linalg.norm(x.T @ g @ x - np.eye(n))
+
+    assert defect(rinv) <= 2.0 * defect(ref)
+    assert rinv.flags.c_contiguous
+    np.testing.assert_array_equal(np.tril(rinv, -1), 0.0)
+    for t in (r, rinv):
+        full = np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)
+        assert abs(_norm_product(t) - full) <= 1e-14 * full
 
 
 # ------------------------------------------ R^{-1} b, the library's solve

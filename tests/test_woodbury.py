@@ -904,18 +904,23 @@ def test_baseline_rejects_bad_update_shape(u_shape, v_shape):
                        rng.standard_normal(v_shape), rng.standard_normal(20))
 
 
-@pytest.mark.parametrize("fn", ["baseline_solve", "prepare", "prepare_ill_conditioned"])
+@pytest.mark.parametrize("fn", ["baseline_solve", "prepare", "prepare_6000x300",
+                                "prepare_ill_conditioned"])
 def test_factorization_holds_one_buffer(fn):
     # tracemalloc sees numpy's buffers. Householder QR factors [. | b] in
     # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
     # it, with no m x n temporaries of its own. prepare's cholesky_rinv
-    # makes no such buffer: it holds 3.25 n^2 doubles at large n (R, the
-    # copy of its triangle that it inverts, R^{-1} and a quarter-size
-    # temporary), and 3.97 n^2 at this n, where small temporaries weigh
-    # more. The CSNE x0 after it holds R^{-1} and two length-m vectors. When it declines, Householder QR drops its buffer before it
-    # inverts R, so R and that inversion's n x n arrays never sit beside it.
+    # makes no such buffer: its one n x n array is the Gram matrix, which
+    # it overwrites with R and then R^{-1}, beside a quarter-size block at
+    # a time (the recursive Cholesky's solve or trailing update, or the
+    # inversion's product), so it peaks near 1.25 n^2 doubles at large n.
+    # The CSNE x0 after it holds R^{-1} and length-m vectors, which weigh
+    # 0.3 n^2 each at 3000 x 100 and 0.07 n^2 at 6000 x 300. When it
+    # declines, Householder QR drops its buffer before it inverts R, so R
+    # and that inversion's n x n arrays never sit beside it.
     rng = np.random.default_rng(37)
-    m, n = (6000, 200) if fn == "prepare_ill_conditioned" else (3000, 100)
+    m, n = {"prepare_6000x300": (6000, 300),
+            "prepare_ill_conditioned": (6000, 200)}.get(fn, (3000, 100))
     a = rng.standard_normal((m, n))
     u = rng.standard_normal((m, 10))
     v = rng.standard_normal((n, 10))
@@ -923,10 +928,12 @@ def test_factorization_holds_one_buffer(fn):
     ill = _graded(rng, m, n, 1e10)[0]
     call = {"baseline_solve": lambda: baseline_solve(a, u, v, b),
             "prepare": lambda: prepare(a, b),
+            "prepare_6000x300": lambda: prepare(a, b),
             "prepare_ill_conditioned": lambda: prepare(ill, b)}[fn]
     buffer = (n + 1) * m * 8
     bound = {"baseline_solve": 1.25 * buffer,
-             "prepare": 8 * 4 * n * n,
+             "prepare": 8 * 2.25 * n * n,
+             "prepare_6000x300": 8 * 2.25 * n * n,
              "prepare_ill_conditioned": buffer + 2 * n * n * 8}[fn]
     tracemalloc.start()
     try:
@@ -938,18 +945,20 @@ def test_factorization_holds_one_buffer(fn):
 
 
 def test_prepare_inverts_once_when_certified_twice_when_declined(monkeypatch):
-    # Certified, cholesky_rinv inverts its R and prepare takes x0 by CSNE
-    # through that inverse. Declined past its certificate (at cond 1e6 the
-    # Cholesky factorization succeeds and kappa^2 eps is far above TAU), it
-    # has inverted its R, and Householder QR inverts its own.
+    # Certified, cholesky_rinv inverts its R in place and prepare takes x0
+    # by CSNE through that inverse. Declined past its certificate (at cond
+    # 1e6 the Cholesky factorization succeeds and kappa^2 eps is far above
+    # TAU), it has inverted its R, and Householder QR inverts its own. Both
+    # run kernels._invert_upper, which at n = 40 < TRIANGULAR_LEAF is one
+    # call per inversion, with no recursion.
     calls = []
-    real = kernels.invert_upper_triangular
+    real = kernels._invert_upper
 
-    def counting(r):
+    def counting(r, out):
         calls.append(r.shape)
-        return real(r)
+        real(r, out)
 
-    monkeypatch.setattr(kernels, "invert_upper_triangular", counting)
+    monkeypatch.setattr(kernels, "_invert_upper", counting)
     rng = np.random.default_rng(45)
     b = rng.standard_normal(400)
     householder = _counting_householder_qr(monkeypatch)
