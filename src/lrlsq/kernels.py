@@ -34,8 +34,9 @@ layer times it. The tests take their reference q and r from
 Every public function is pure: inputs are never modified, results are
 fresh arrays, so they are safe to call concurrently on shared read-only
 data. The private helpers ``_lapack_lite``, ``_screen``,
-``_cholesky_upper`` and ``_invert_upper`` write in place, but only into
-arrays that the kernel calling them has just made.
+``_cholesky_upper``, ``_solve_transposed_upper`` and ``_invert_upper``
+write in place, but only into arrays that the kernel calling them has
+just made.
 Results are deterministic for a fixed BLAS build and thread count.
 """
 
@@ -191,11 +192,11 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
     orthogonal. It returns no ``q.T @ b``: ``woodbury.prepare`` takes the
     base solution by the corrected seminormal equations (CSNE; Björck
     1987, LAA 88/89) through rinv. After the Gram product g is its one
-    n x n array: beside a it holds g and one quarter-size block of the
-    recursion at a time (the Cholesky's solve or trailing update, or the
-    inversion's product), about 1.25 n^2 doubles at large n.
-    ``np.linalg.solve`` also copies its two quarter-size operands into
-    working arrays that tracemalloc does not see.
+    n x n array: beside a it holds g and at most one quarter-size block
+    of the recursion at a time (the Cholesky's trailing update or the
+    inversion's product), about 1.25 n^2 doubles at large n. LAPACK sees
+    only blocks of at most ``TRIANGULAR_LEAF`` rows, so the working
+    copies it makes, which tracemalloc does not see, stay that small.
 
     It certifies r when ``kappa^2 eps <= TAU``, with kappa the Hoelder
     bound ``sqrt(||r||_1 ||rinv||_1 ||r||_inf ||rinv||_inf)``, the norms of
@@ -248,14 +249,15 @@ def _cholesky_upper(g: np.ndarray) -> None:
     blocking.
 
     With ``g = [[G11, G12], [G12.T, G22]]``: ``R11 = chol(G11)'``,
-    ``R12`` solves ``R11.T R12 = G12`` (a backward-stable solve, not a
-    product with an inverse), and ``R22 = chol(G22 - R12.T R12)'``. The
-    diagonal blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
+    ``R12`` solves ``R11.T R12 = G12`` in place over G12
+    (``_solve_transposed_upper``, forward substitution, not a product
+    with an inverse), and ``R22 = chol(G22 - R12.T R12)'``. The diagonal
+    blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
     ``np.linalg.cholesky`` takes over, so a g that small is factored
-    exactly as that call factors it. Beside g, each level holds one block
-    of a quarter of its size at a time: the solve's result, then the
-    trailing update. Raises LinAlgError where
-    ``np.linalg.cholesky`` finds a block not positive definite.
+    exactly as that call factors it. Beside g, each level holds the
+    solve's product, an eighth of its size, and then the trailing update,
+    a quarter. Raises LinAlgError where ``np.linalg.cholesky`` finds a
+    block not positive definite.
     """
     n = g.shape[0]
     if n <= TRIANGULAR_LEAF:
@@ -263,11 +265,32 @@ def _cholesky_upper(g: np.ndarray) -> None:
         return
     k = n // 2
     _cholesky_upper(g[:k, :k])
-    g[:k, k:] = np.linalg.solve(g[:k, :k].T, g[:k, k:])
+    _solve_transposed_upper(g[:k, :k], g[:k, k:])
     r12 = g[:k, k:]
     g[k:, k:] -= r12.T @ r12
     g[k:, :k] = 0.0
     _cholesky_upper(g[k:, k:])
+
+
+def _solve_transposed_upper(r: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite x with the solution y of ``r.T y = x``, r upper triangular
+    with zeros below its diagonal, by recursive 2 x 2 blocking.
+
+    With ``r = [[R11, R12], [0, R22]]`` this is forward substitution by
+    blocks: the top rows of x are solved by R11, ``R12.T`` times them is
+    taken off the bottom rows, and those are solved by R22. Blocks of at
+    most ``TRIANGULAR_LEAF`` rows go to ``np.linalg.solve``, so an r that
+    small is solved exactly as that call solves it. Beside x it holds the
+    product for the bottom rows, about half of x.
+    """
+    n = r.shape[0]
+    if n <= TRIANGULAR_LEAF:
+        x[...] = np.linalg.solve(r.T, x)
+        return
+    k = n // 2
+    _solve_transposed_upper(r[:k, :k], x[:k])
+    x[k:] -= r[:k, k:].T @ x[:k]
+    _solve_transposed_upper(r[k:, k:], x[k:])
 
 
 def _norm_product(t: np.ndarray) -> float:

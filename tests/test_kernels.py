@@ -11,6 +11,7 @@ from lrlsq.kernels import (
     CAP_GUARD,
     COPY_BLOCK,
     EPS,
+    TRIANGULAR_LEAF,
     _norm_product,
     cholesky_rinv,
     householder_qr,
@@ -213,13 +214,15 @@ def test_cholesky_qr_declines_quietly(case):
 
 
 @pytest.mark.parametrize("cond", [None, 1e4])
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300, 520])
 def test_cholesky_rinv_in_place_matches_lapack_cholesky(n, cond):
     # cholesky_rinv factors and inverts over its Gram matrix. n = 63, 64
     # and 65 straddle the leaf of the recursive Cholesky and inversion, 129
-    # splits into 64 + 65, and 300 splits three times. cond None is a
-    # Gaussian base; 1e4 a graded one, singular values log-spaced from 1 to
-    # 1e-4, which the certificate still passes at 20 n x n.
+    # splits into 64 + 65, and 300 splits three times. At 520 the
+    # triangular solve for the top R12 splits at 260, 130 and 65 rows
+    # before its leaves. cond None is a Gaussian base; 1e4 a graded one, singular
+    # values log-spaced from 1 to 1e-4, which the certificate still passes
+    # at 20 n x n.
     rng = np.random.default_rng(n)
     m = 20 * n
     if cond is None:
@@ -243,6 +246,28 @@ def test_cholesky_rinv_in_place_matches_lapack_cholesky(n, cond):
     for t in (r, rinv):
         full = np.linalg.norm(t, 1) * np.linalg.norm(t, np.inf)
         assert abs(_norm_product(t) - full) <= 1e-14 * full
+
+
+@pytest.mark.parametrize("n", [300, 520])
+def test_cholesky_rinv_hands_lapack_leaf_blocks_only(n, monkeypatch):
+    # np.linalg copies its operands into working arrays that tracemalloc
+    # does not see, so test_factorization_holds_one_buffer cannot catch a
+    # large block handed to it. The recursive Cholesky factorization, its
+    # triangular solves and the inversion recurse until every block that
+    # reaches LAPACK has at most TRIANGULAR_LEAF rows; a solve's right-hand
+    # side is a strip of that many rows across its block of R12.
+    rows = []
+    for name in ("solve", "cholesky", "inv"):
+        real = getattr(np.linalg, name)
+
+        def recording(*operands, real=real):
+            rows.extend(x.shape[0] for x in operands)
+            return real(*operands)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    a = np.random.default_rng(n).standard_normal((4 * n, n))
+    assert cholesky_rinv(a) is not None
+    assert rows and max(rows) <= TRIANGULAR_LEAF
 
 
 # ------------------------------------------ R^{-1} b, the library's solve

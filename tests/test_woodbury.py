@@ -911,9 +911,12 @@ def test_factorization_holds_one_buffer(fn):
     # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
     # it, with no m x n temporaries of its own. prepare's cholesky_rinv
     # makes no such buffer: its one n x n array is the Gram matrix, which
-    # it overwrites with R and then R^{-1}, beside a quarter-size block at
-    # a time (the recursive Cholesky's solve or trailing update, or the
-    # inversion's product), so it peaks near 1.25 n^2 doubles at large n.
+    # it overwrites with R and then R^{-1}, beside at most a quarter-size
+    # block at a time (the recursive Cholesky's trailing update or the
+    # inversion's product; its triangular solve's product is an eighth),
+    # so it peaks near 1.25 n^2 doubles at large n. LAPACK's own copies
+    # are not traced; test_cholesky_rinv_hands_lapack_leaf_blocks_only
+    # keeps them leaf-sized.
     # The CSNE x0 after it holds R^{-1} and length-m vectors, which weigh
     # 0.3 n^2 each at 3000 x 100 and 0.07 n^2 at 6000 x 300. When it
     # declines, Householder QR drops its buffer before it inverts R, so R
