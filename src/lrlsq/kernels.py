@@ -17,14 +17,14 @@ a, with no m x n copy, and returns None when it cannot certify it: when
 a is too ill-conditioned for a Cholesky r, or when its result is not
 finite. ``prepare`` then solves for b by CSNE through rinv. Past the
 certificate it runs ``householder_qr``, which takes a tall a and a
-length-m b and returns the tuple ``(rinv, qtb)``, qtb ``q.T @ b``
-without forming q, so ``x = rinv @ qtb`` is the least squares solution
-for b. It always applies and raises from ``_screen``: r and qtb must be
-finite and r must pass a rank test. It factors ``[a | b]``, optionally
-with a rank-r term ``u @ v.T`` added to a, in one Fortran-ordered copy
-that it frees before it inverts r. The from-scratch comparator
-``baseline_solve`` stays on Householder alone: it needs no certificate,
-and the measured speedups are quoted against it.
+length-m b and returns the tuple ``(rinv, x)``, x the least squares
+solution for b, ``rinv @ (q.T @ b)`` with no q formed. It always applies
+and raises from ``_screen``: r and ``q.T @ b`` must be finite and r must
+pass a rank test. It factors ``[a | b]``, optionally with a rank-r term
+``u @ v.T`` added to a, in one Fortran-ordered copy that it frees before
+it inverts r in place. The from-scratch comparator ``baseline_solve``
+stays on Householder alone: it needs no certificate, and the measured
+speedups are quoted against it.
 
 ``qr_thin`` is ``np.linalg.qr`` and nothing else: the package does not
 call it, and it stays only because the benchmark's ``kernels.qr_thin``
@@ -36,7 +36,8 @@ fresh arrays, so they are safe to call concurrently on shared read-only
 data. The private helpers ``_lapack_lite``, ``_screen``,
 ``_cholesky_upper``, ``_solve_transposed_upper`` and ``_invert_upper``
 write in place, but only into arrays that the kernel calling them has
-just made.
+just made: ``householder_qr`` inverts its r, and ``cholesky_rinv`` its
+Gram matrix, by ``_invert_upper`` with no copy.
 Results are deterministic for a fixed BLAS build and thread count.
 """
 
@@ -115,14 +116,16 @@ def _screen(r: np.ndarray, qtb: np.ndarray, m: int, what: str) -> None:
 
 
 def householder_qr(a, b, u=None, v=None) -> tuple:
-    """R^{-1} and ``q.T @ b`` of a tall a, or of ``a + u @ v.T``, by
-    Householder QR.
+    """R^{-1} and the least squares solution for b of a tall a, or of
+    ``a + u @ v.T``, by Householder QR.
 
     Copies a and b once into Fortran order, block by block, and runs
     LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``. None
     of a, b, u, v is modified. The copy is freed once r and qtb are read
-    off it, before r is screened and inverted, so the inversion's n x n
-    arrays never sit beside it.
+    off it, before r is screened and then inverted in place
+    (``_invert_upper``): the inversion holds r and one quarter-size
+    product, about 1.25 n^2 doubles at large n, and never sits beside the
+    copy.
 
     With a rank-r term (u, v) the factored matrix is ``a + u @ v.T``:
     each block of it is written straight into the Fortran-ordered buffer,
@@ -131,8 +134,8 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
 
     This is Golub's Householder least squares method: the transformations
     that triangularize a also carry b, so the top n entries of the last
-    column are ``q.T @ b``, and ``rinv @ qtb`` solves ``min ||a x - b||``
-    with no q at all.
+    column are ``qtb = q.T @ b``, and ``x = rinv @ qtb`` solves
+    ``min ||a x - b||`` with no q at all.
 
     Parameters
     ----------
@@ -142,9 +145,10 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
         screens b itself.
     u, v : (m, r) and (n, r) arrays, optional, given together.
 
-    Returns the tuple ``(rinv, qtb)``: rinv is the n x n inverse of r,
-    upper triangular with a positive diagonal and C-contiguous (see
-    ``invert_upper_triangular``); qtb is ``q.T @ b``, length n.
+    Returns the tuple ``(rinv, x)``: rinv is the n x n inverse of r,
+    upper triangular with a positive diagonal and C-contiguous, so that
+    products ``c @ rinv`` with a skinny row-major c run in BLAS's fast
+    orientation; x is ``rinv @ qtb``, length n.
 
     Raises
     ------
@@ -177,7 +181,8 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
     qtb = qt[n, :n].copy()
     del qt
     _screen(r, qtb, m, "a" if u is None else "a + u v.T")
-    return invert_upper_triangular(r), qtb
+    _invert_upper(r, r)  # np.triu made r C-ordered
+    return r, r @ qtb
 
 
 def cholesky_rinv(a) -> Optional[np.ndarray]:
@@ -312,40 +317,21 @@ def qr_thin(a) -> tuple:
     return np.linalg.qr(a)
 
 
-def invert_upper_triangular(r) -> np.ndarray:
-    """Inverse of an upper-triangular r, by recursive 2 x 2 blocking.
+def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of the upper triangle of r into out, zeros below
+    its diagonal, by recursive 2 x 2 blocking; out is an array of r's
+    shape, or r itself.
 
     With ``r = [[R11, R12], [0, R22]]`` the inverse is
     ``[[X11, -(X11 @ R12) @ X22], [0, X22]]`` for ``Xii = Rii^{-1}``; the
     diagonal blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
     ``np.linalg.inv`` takes over. About 2n^3 / 3 flops, all but the
-    leaves in gemm, so it runs as fast as trtri's n^3 / 3. Both base
-    kernels return the inverse in place of r, and the package applies r
-    only through products with it.
-
-    Only the upper triangle of r is read. The inversion runs in place on
-    a C-ordered copy of r, so beside r it holds that copy and one
-    quarter-size product, about 1.25 n^2 doubles at large n;
-    ``cholesky_rinv`` runs the same in-place inversion on its own factor
-    with no copy. The result is upper triangular and C-contiguous, so
-    that products ``c @ inv`` with a skinny row-major c run in BLAS's fast
-    orientation.
-
-    Raises nothing of its own: r is a factor that passed a QR's screen.
-    A zero diagonal entry makes ``np.linalg.inv`` raise LinAlgError.
-    """
-    inv = np.array(r, order="C")
-    _invert_upper(inv, inv)
-    return inv
-
-
-def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
-    """Write the inverse of the upper triangle of r into out, zeros below
-    its diagonal; out is an array of r's shape, or r itself.
-
-    Each block of out is written only after the blocks of r that it
-    replaces have been read, so the inversion runs in place when out is
-    r.
+    leaves in gemm, so it runs as fast as trtri's n^3 / 3. Each block of
+    out is written only after the blocks of r that it replaces have been
+    read, so the inversion runs in place when out is r, beside one
+    quarter-size product. r is a factor that passed a QR's screen or a
+    Cholesky factorization; a zero diagonal entry makes
+    ``np.linalg.inv`` raise LinAlgError.
     """
     n = r.shape[0]
     if n <= TRIANGULAR_LEAF:

@@ -208,8 +208,11 @@ def _conforming(upd: LowRankUpdate, m: int, n: int) -> None:
 
 def updated_normal_residual(a, u, v, x, b) -> float:
     """``||ahat.T (ahat x - b)||_2`` without forming ``ahat = a + u v.T``."""
-    rr = a @ x + u @ (v.T @ x) - b
-    g = a.T @ rr + v @ (u.T @ rr)
+    # An infinity in x or b turns into NaN in these products, which is
+    # passed on below without a warning.
+    with np.errstate(invalid="ignore"):
+        rr = a @ x + u @ (v.T @ x) - b
+        g = a.T @ rr + v @ (u.T @ rr)
     # Scaled by its largest entry, so no square overflows or underflows.
     scale = float(np.abs(g).max(initial=0.0))
     if not 0.0 < scale < np.inf:
@@ -229,11 +232,13 @@ def prepare(a, b) -> PreparedBase:
     certify its R, because cond(a) is too large for a Cholesky R,
     ``[a | b]`` is factored by Householder QR in one (n + 1) x m buffer
     instead, at the cost of the Gram pass already made, and
-    ``x0 = R^{-1} (Q.T b)`` with ``Q.T b`` read off the factorization.
-    That buffer is dropped before R is inverted. Each path inverts its R
-    once, about 2 n^3 / 3 flops, so a declined a pays for two inversions;
-    only the inverse is kept. ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is
-    then two matrix products with it (:func:`ata_solve`).
+    ``kernels.householder_qr`` returns R^{-1} and
+    ``x0 = R^{-1} (Q.T b)``, with ``Q.T b`` read off the factorization.
+    That buffer is dropped before R is inverted in place. Each path
+    inverts its R once, about 2 n^3 / 3 flops, so a declined a pays for
+    two inversions; only the inverse is kept.
+    ``(a.T a)^{-1} c = R^{-1} (R^{-T} c)`` is then two matrix products
+    with it (:func:`ata_solve`).
 
     x0 is bound to b. A different right-hand side later costs three
     passes over ``a`` (:func:`base_lstsq`). A caller with no preferred
@@ -254,8 +259,7 @@ def prepare(a, b) -> PreparedBase:
         # the matching diagonal entry of a.T a non-finite; only this path
         # needs the pass over a that names it.
         _require_finite(a, "a")
-        rinv, qtb = kernels.householder_qr(a, b)
-        x0 = rinv @ qtb
+        rinv, x0 = kernels.householder_qr(a, b)
     return PreparedBase(a=a, rinv=_freeze(rinv), b=_freeze(b.copy()), x0=_freeze(x0))
 
 
@@ -418,13 +422,13 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     """From-scratch QR solve of ``min ||b - (a + u v.T) x||_2``.
 
     Factors ``[a + u v.T | b]`` by Householder QR without forming Q and
-    returns ``R^{-1} (Q.T b)``, with R^{-1} as ``kernels.householder_qr``
-    hands it back: one n x n inversion, 2 n^3 / 3 flops, where back
-    substitution would take n^2. ``kernels.householder_qr`` writes
-    ``a + u v.T`` block by block straight into its factorization buffer,
-    so the updated matrix is never formed on its own and the solve holds
-    one m x n array. This is the correctness oracle and the timing
-    baseline the update path is measured against.
+    returns the solution ``R^{-1} (Q.T b)`` that ``kernels.householder_qr``
+    hands back: it inverts R in place, 2 n^3 / 3 flops, where back
+    substitution would take n^2, after it has freed its buffer.
+    ``kernels.householder_qr`` writes ``a + u v.T`` block by block
+    straight into that buffer, so the updated matrix is never formed on
+    its own and the solve holds one m x n array. This is the correctness
+    oracle and the timing baseline the update path is measured against.
 
     Its inputs are checked as ``prepare`` and ``LowRankUpdate`` check
     them, except that the finiteness of a is read off the factor, through
@@ -440,5 +444,4 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     _require_finite(b, "b")
     upd = LowRankUpdate(u, v)
     _conforming(upd, m, n)
-    rinv, qtb = kernels.householder_qr(a, b, upd.u, upd.v)
-    return rinv @ qtb
+    return kernels.householder_qr(a, b, upd.u, upd.v)[1]

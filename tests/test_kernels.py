@@ -12,13 +12,21 @@ from lrlsq.kernels import (
     COPY_BLOCK,
     EPS,
     TRIANGULAR_LEAF,
+    _invert_upper,
     _norm_product,
     cholesky_rinv,
     householder_qr,
-    invert_upper_triangular,
     lu_factor_checked,
 )
 from oracles import numerical_rank, pinv_oracle, qr_reference
+
+
+def _inverse_of(r):
+    """The inverse of r's upper triangle by the in-place inversion that
+    both base kernels run, on a C-ordered copy of r."""
+    inv = np.array(r, order="C")
+    _invert_upper(inv, inv)
+    return inv
 
 
 # ------------------------------------------------------ the screen of a QR
@@ -103,10 +111,12 @@ def test_householder_qr_matches_qr_thin(m, n):
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
     q, r = qr_reference(a)
-    rinv, qtb = householder_qr(a, b)
+    rinv, x = householder_qr(a, b)
     ref = np.linalg.inv(r)
+    assert rinv.flags.c_contiguous
     assert np.linalg.norm(rinv - ref) <= 1e-13 * np.linalg.norm(ref)
-    assert np.linalg.norm(qtb - q.T @ b) <= 1e-13 * np.linalg.norm(b)
+    ref_x = ref @ (q.T @ b)
+    assert np.linalg.norm(x - ref_x) <= 1e-13 * np.linalg.norm(ref_x)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -134,10 +144,10 @@ def test_householder_qr_rank_term_matches_explicit_sum():
     u = rng.standard_normal((m, r))
     v = rng.standard_normal((n, r))
     b = rng.standard_normal(m)
-    rinv, qtb = householder_qr(a, b, u, v)
-    ref_rinv, ref_qtb = householder_qr(a + u @ v.T, b)
+    rinv, x = householder_qr(a, b, u, v)
+    ref_rinv, ref_x = householder_qr(a + u @ v.T, b)
     assert np.linalg.norm(rinv - ref_rinv) <= 1e-14 * np.linalg.norm(ref_rinv)
-    assert np.linalg.norm(qtb - ref_qtb) <= 1e-14 * np.linalg.norm(ref_qtb)
+    assert np.linalg.norm(x - ref_x) <= 1e-14 * np.linalg.norm(ref_x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -152,11 +162,11 @@ def test_householder_qr_non_finite_rank_term(name, bad):
 
 def test_householder_qr_least_squares_hand_checked():
     # a = [e1, -e2] needs no reflection; the sign normalization makes
-    # r = I and q = a, so q.T b = [3, 4].
+    # r = I and q = a, so x = q.T b = [3, 4].
     a = np.array([[1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
-    rinv, qtb = householder_qr(a, np.array([3.0, -4.0, 5.0]))
+    rinv, x = householder_qr(a, np.array([3.0, -4.0, 5.0]))
     np.testing.assert_allclose(rinv, np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(qtb, [3.0, 4.0], atol=1e-15)
+    np.testing.assert_allclose(x, [3.0, 4.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -292,17 +302,17 @@ def test_triangular_matches_scipy_on_graded_r(n, cond, cols):
     # times.
     r = _graded_r(n, cond)
     b = np.random.default_rng(n + 1).standard_normal(n if cols is None else (n, cols))
-    x = invert_upper_triangular(r) @ b
+    x = _inverse_of(r) @ b
     ref = scipy.linalg.solve_triangular(r, b)
     assert x.shape == b.shape
     assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
-# ------------------------------------------------- invert_upper_triangular
+# ----------------------------------------------------------- _invert_upper
 
 def test_invert_upper_triangular_2x2_hand_checked():
     # [[2, 1], [0, 4]]^{-1} = [[1/2, -1/8], [0, 1/4]]
-    inv = invert_upper_triangular(np.array([[2.0, 1.0], [0.0, 4.0]]))
+    inv = _inverse_of(np.array([[2.0, 1.0], [0.0, 4.0]]))
     np.testing.assert_array_equal(inv, [[0.5, -0.125], [0.0, 0.25]])
 
 
@@ -310,12 +320,12 @@ def test_invert_upper_triangular_3x3_hand_checked():
     # Unit upper bidiagonal with -1 off the diagonal: the inverse is the
     # upper triangle of ones.
     r = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
-    np.testing.assert_array_equal(invert_upper_triangular(r), np.triu(np.ones((3, 3))))
+    np.testing.assert_array_equal(_inverse_of(r), np.triu(np.ones((3, 3))))
 
 
 def test_invert_upper_triangular_reads_upper_triangle_only():
     r = np.array([[2.0, 1.0], [7.0, 4.0]])  # the 7 is not part of r
-    inv = invert_upper_triangular(r)
+    inv = _inverse_of(r)
     np.testing.assert_array_equal(inv, [[0.5, -0.125], [0.0, 0.25]])
     assert inv.flags.c_contiguous
 
@@ -323,7 +333,7 @@ def test_invert_upper_triangular_reads_upper_triangle_only():
 def test_invert_upper_triangular_residual_random():
     rng = np.random.default_rng(7)
     r = np.triu(rng.standard_normal((8, 8))) + 4.0 * np.eye(8)
-    inv = invert_upper_triangular(r)
+    inv = _inverse_of(r)
     assert np.linalg.norm(r @ inv - np.eye(8)) <= 1e-12 * np.linalg.norm(r) * np.linalg.norm(inv)
 
 
@@ -336,7 +346,7 @@ def test_invert_upper_triangular_matches_trtri_on_graded_r(cond):
     p, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     r = qr_reference((p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T)[1]
-    inv = invert_upper_triangular(r)
+    inv = _inverse_of(r)
     ref = np.triu(scipy.linalg.lapack.dtrtri(r)[0])
     assert inv.flags.c_contiguous and not np.tril(inv, -1).any()
     assert np.linalg.norm(inv - ref) <= 1e-13 * np.linalg.norm(ref)

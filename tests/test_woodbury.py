@@ -375,32 +375,56 @@ def test_fresh_rhs_within_sensitivity_bound(m, n, cond, residual, monkeypatch):
         assert np.linalg.norm(x - ref) <= bound * np.linalg.norm(ref)
 
 
-# Update cells of the accuracy grid, with the update path's error over the
-# bound as measured at one and two BLAS threads. It is gated where that
-# stays under C_BOUND / 3, and pinned as a known defect (ROADMAP item 4)
-# where it exceeds 3 C_BOUND; cond 1e2 with a large residual (4.0x-6.3x)
-# is left out.
+# Update cells of the accuracy grid, (cond, residual, update_scale), with
+# the update path's error over the bound as measured at one and two BLAS
+# threads. It is gated where that stays under C_BOUND / 3, and pinned as a
+# known defect where it exceeds 3 C_BOUND (ROADMAP item 4) or where the
+# capacitance check rejects a full-rank update (item 7); cond 1e2 with a
+# large residual at scale 1e-2 (3.2x-6.3x) is left out. solve_many gives
+# the bound-b route's bits on these certified bases, so it has no cells
+# of its own. A cell's id names its scale unless that is 1e-2.
 C_BOUND = 10.0
 ITEM_4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4: the update path starts from "
                            "the base solution and corrects nothing on the updated problem")
+ITEM_7 = pytest.mark.xfail(strict=True, raises=SingularCapacitance,
+                           reason="ROADMAP item 7: the capacitance's rcond measures the scale "
+                           "of (a.T a)^{-1} along v, not the rank of a + u v.T")
+
+
+def _cell(cond, residual, update_scale=1e-2, marks=()):
+    tag = "" if update_scale == 1e-2 else f"-scale{update_scale:.0e}"
+    return pytest.param(cond, residual, update_scale, marks=marks, id=f"{cond!r}-{residual}{tag}")
+
+
 UPDATE_CELLS = [
-    pytest.param(1.0, "zero"),                # 1.6x-1.7x
-    pytest.param(1.0, "large"),               # 0.5x-0.6x
-    pytest.param(1e2, "zero", marks=ITEM_4),  # 275x-872x
-    pytest.param(1e4, "zero", marks=ITEM_4),  # 1.3e6x-2.0e6x
-    pytest.param(1e4, "large", marks=ITEM_4),  # 216x-238x
+    _cell(1.0, "zero"),                       # 1.6x-1.7x
+    _cell(1.0, "large"),                      # 0.5x-0.6x
+    _cell(1e2, "zero", marks=ITEM_4),         # 206x-872x
+    _cell(1e4, "zero", marks=ITEM_4),         # 1.3e6x-2.6e6x
+    _cell(1e4, "large", marks=ITEM_4),        # 164x-238x
+    _cell(1e6, "zero", marks=ITEM_7),
+    _cell(1e6, "large", marks=ITEM_7),
+    _cell(1.0, "zero", 1e-4),                 # 0.51x-0.52x
+    _cell(1.0, "large", 1e-4),                # 0.73x
+    _cell(1e2, "zero", 1e-4),                 # 0.29x-0.32x
+    _cell(1e2, "large", 1e-4),                # 0.19x-0.21x
+    _cell(1e4, "zero", 1e-4, marks=ITEM_7),
+    _cell(1e4, "large", 1e-4, marks=ITEM_7),
+    _cell(1e6, "zero", 1e-4, marks=ITEM_7),
+    _cell(1e6, "large", 1e-4, marks=ITEM_7),
 ]
 
 
-def _known_solution_update(cond, residual):
-    """A graded 2000 x 100 a, a rank-5 update, and b = ahat x_t plus, for
-    "large", a residual orthogonal to range(ahat) of norm ||ahat x_t||,
-    so x_t is the minimizer; returns (a, u, v, b, x_t, bound), bound the
-    sensitivity bound of the updated problem from the SVD of ahat."""
+def _known_solution_update(cond, residual, update_scale=1e-2):
+    """A graded 2000 x 100 a, a rank-5 update with u scaled by
+    update_scale, and b = ahat x_t plus, for "large", a residual
+    orthogonal to range(ahat) of norm ||ahat x_t||, so x_t is the
+    minimizer; returns (a, u, v, b, x_t, bound), bound the sensitivity
+    bound of the updated problem from the SVD of ahat."""
     rng = np.random.default_rng(5)
     m, n, r = 2000, 100, 5
     a = _graded(rng, m, n, cond)[0]
-    u = 1e-2 * rng.standard_normal((m, r))
+    u = update_scale * rng.standard_normal((m, r))
     v = rng.standard_normal((n, r))
     ahat = a + u @ v.T
     p, s, _ = np.linalg.svd(ahat, full_matrices=False)
@@ -425,18 +449,16 @@ def test_baseline_within_sensitivity_bound(cond, residual):
     assert np.linalg.norm(x - x_t) <= C_BOUND * bound * np.linalg.norm(x_t)
 
 
-@pytest.mark.parametrize("cond, residual", UPDATE_CELLS)
-def test_update_path_within_sensitivity_bound(cond, residual):
+@pytest.mark.parametrize("cond, residual, update_scale", UPDATE_CELLS)
+def test_update_path_within_sensitivity_bound(cond, residual, update_scale):
     # The solve with the bound b. On a certified base, as every base here
     # is, a fresh b gives the same bits: x0 and base_lstsq run one CSNE.
-    a, u, v, b, x_t, bound = _known_solution_update(cond, residual)
+    a, u, v, b, x_t, bound = _known_solution_update(cond, residual, update_scale)
     out, *_ = _solve(a, b, u, v)
     assert np.linalg.norm(out.x - x_t) <= C_BOUND * bound * np.linalg.norm(x_t)
 
 
-@pytest.mark.xfail(strict=True, raises=SingularCapacitance,
-                   reason="ROADMAP item 7: the capacitance's rcond measures the scale of "
-                   "(a.T a)^{-1} along v, not the rank of a + u v.T")
+@ITEM_7
 def test_full_rank_update_of_ill_conditioned_base_raises_no_rank_error():
     # a + u v.T keeps full column rank: cond 1.0e10, as cond(a), and
     # baseline_solve solves it. The capacitance's rcond is 1.0e-41.
@@ -449,6 +471,23 @@ def test_full_rank_update_of_ill_conditioned_base_raises_no_rank_error():
     assert np.all(np.isfinite(baseline_solve(a, u, v, b)))
     base = prepare(a, b)
     build_workspace(base, LowRankUpdate(u, v))
+
+
+@pytest.mark.parametrize("t", [1e-2, 1.0, pytest.param(1e3, marks=ITEM_7)])
+def test_factor_split_of_one_update_raises_no_rank_error(t):
+    # (t u, v / t) is the same update u v.T for every t, and the updated
+    # matrix keeps full rank. Yet the capacitance's 1-norm rcond falls as
+    # t^-4: 1.1e-5 at t = 1, 1.1e-9 at 10 and 1.1e-13 at 100, against a
+    # threshold of 2.2e-12. With the check skipped, the answer stays
+    # within 3.2e-15 of baseline_solve up to t = 1e6.
+    rng = np.random.default_rng(47)
+    a = rng.standard_normal((2000, 100))
+    u = rng.standard_normal((2000, 5))
+    v = rng.standard_normal((100, 5))
+    b = rng.standard_normal(2000)
+    want = baseline_solve(a, u, v, b)
+    out, *_ = _solve(a, b, t * u, v / t)
+    assert np.linalg.norm(out.x - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def _prepare_by_householder(a, b, monkeypatch):
@@ -634,6 +673,21 @@ def test_normal_equations_certificate_at_extreme_scale():
     upd = LowRankUpdate(u, s * v)
     x = solve_updated(base, upd, build_workspace(base, upd), b).x
     assert np.isfinite(updated_normal_residual(s * a, u, s * v, x, b))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["x", "b"])
+def test_normal_equations_certificate_passes_non_finite_on(name, bad):
+    # An infinity in x or b meets entries of both signs in the products
+    # and turns into NaN there, which numpy warns about unless told not
+    # to; the certificate passes the non-finite value on, with no warning.
+    rng = np.random.default_rng(46)
+    args = {"a": rng.standard_normal((40, 6)), "u": rng.standard_normal((40, 2)),
+            "v": rng.standard_normal((6, 2)), "x": rng.standard_normal(6),
+            "b": rng.standard_normal(40)}
+    args[name][3] = bad
+    assert not np.isfinite(updated_normal_residual(**args))
 
 
 def test_solve_with_fresh_rhs_recomputes_base_solution():
