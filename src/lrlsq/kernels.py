@@ -34,10 +34,13 @@ layer times it. The tests take their reference q and r from
 Every public function is pure: inputs are never modified, results are
 fresh arrays, so they are safe to call concurrently on shared read-only
 data. The private helpers ``_lapack_lite``, ``_screen``,
-``_cholesky_upper``, ``_solve_transposed_upper`` and ``_invert_upper``
-write in place, but only into arrays that the kernel calling them has
-just made: ``householder_qr`` inverts its r, and ``cholesky_rinv`` its
-Gram matrix, by ``_invert_upper`` with no copy.
+``_cholesky_upper`` and ``_invert_upper`` write in place, but only into
+arrays that the kernel calling them has just made: ``householder_qr``
+inverts its r, and ``cholesky_rinv`` its Gram matrix, by
+``_invert_upper`` with no copy. Both triangular helpers are flat loops
+over blocks of ``TRIANGULAR_LEAF`` rows or columns, LAPACK's own blocked
+schemes, with numpy's LAPACK calls on the diagonal blocks and gemm for
+the rest.
 Results are deterministic for a fixed BLAS build and thread count.
 """
 
@@ -58,13 +61,10 @@ SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 # 256 x n block of a and its n x 256 image stay in the caches together.
 COPY_BLOCK = 256
 
-# Columns of the largest diagonal block that the recursive Cholesky
-# factorization and triangular inversion hand to ``np.linalg.cholesky``
-# and ``np.linalg.inv``.
+# Rows and columns per block of the blocked Cholesky factorization and
+# triangular inversion, whose diagonal blocks go to ``np.linalg.cholesky``
+# and ``np.linalg.inv``, and rows per block of ``_norm_product``.
 TRIANGULAR_LEAF = 64
-
-# Rows per block of ``_norm_product``'s absolute values.
-NORM_ROWS = 32
 
 # ``cholesky_rinv`` certifies its r when ``kappa^2 eps <= TAU``, kappa a
 # bound on cond(r); fitted on graded bases, see its docstring.
@@ -123,9 +123,8 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
     LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``. None
     of a, b, u, v is modified. The copy is freed once r and qtb are read
     off it, before r is screened and then inverted in place
-    (``_invert_upper``): the inversion holds r and one quarter-size
-    product, about 1.25 n^2 doubles at large n, and never sits beside the
-    copy.
+    (``_invert_upper``): the inversion holds r and one strip of
+    ``TRIANGULAR_LEAF`` columns, and never sits beside the copy.
 
     With a rank-r term (u, v) the factored matrix is ``a + u @ v.T``:
     each block of it is written straight into the Fortran-ordered buffer,
@@ -181,7 +180,7 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
     qtb = qt[n, :n].copy()
     del qt
     _screen(r, qtb, m, "a" if u is None else "a + u v.T")
-    _invert_upper(r, r)  # np.triu made r C-ordered
+    _invert_upper(r)  # np.triu made r C-ordered
     return r, r @ qtb
 
 
@@ -197,11 +196,11 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
     orthogonal. It returns no ``q.T @ b``: ``woodbury.prepare`` takes the
     base solution by the corrected seminormal equations (CSNE; Björck
     1987, LAA 88/89) through rinv. After the Gram product g is its one
-    n x n array: beside a it holds g and at most one quarter-size block
-    of the recursion at a time (the Cholesky's trailing update or the
-    inversion's product), about 1.25 n^2 doubles at large n. LAPACK sees
-    only blocks of at most ``TRIANGULAR_LEAF`` rows, so the working
-    copies it makes, which tracemalloc does not see, stay that small.
+    n x n array: beside a it holds g and its n^2-byte finiteness mask,
+    about 1.125 n^2 doubles, and later at most two strips of
+    ``TRIANGULAR_LEAF`` rows or columns. LAPACK sees only blocks of at
+    most ``TRIANGULAR_LEAF`` rows, so the working copies it makes, which
+    tracemalloc does not see, stay that small.
 
     It certifies r when ``kappa^2 eps <= TAU``, with kappa the Hoelder
     bound ``sqrt(||r||_1 ||rinv||_1 ||r||_inf ||rinv||_inf)``, the norms of
@@ -239,7 +238,7 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
         try:
             _cholesky_upper(g)
             kappa2 = _norm_product(g)
-            _invert_upper(g, g)
+            _invert_upper(g)
         except np.linalg.LinAlgError:
             return None
         kappa2 *= _norm_product(g)
@@ -250,64 +249,37 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
 
 def _cholesky_upper(g: np.ndarray) -> None:
     """Overwrite a symmetric positive definite g with the upper-triangular
-    r of ``r.T r = g``, zeros below the diagonal, by recursive 2 x 2
-    blocking.
+    r of ``r.T r = g``, zeros below the diagonal, by left-looking blocks
+    of ``TRIANGULAR_LEAF`` rows (LAPACK's blocked potrf).
 
-    With ``g = [[G11, G12], [G12.T, G22]]``: ``R11 = chol(G11)'``,
-    ``R12`` solves ``R11.T R12 = G12`` in place over G12
-    (``_solve_transposed_upper``, forward substitution, not a product
-    with an inverse), and ``R22 = chol(G22 - R12.T R12)'``. The diagonal
-    blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
-    ``np.linalg.cholesky`` takes over, so a g that small is factored
-    exactly as that call factors it. Beside g, each level holds the
-    solve's product, an eighth of its size, and then the trailing update,
-    a quarter. Raises LinAlgError where ``np.linalg.cholesky`` finds a
-    block not positive definite.
+    Block row ``j:k`` of r takes the rows of r above it off g in one
+    product, ``np.linalg.cholesky`` factors its diagonal block, and
+    ``np.linalg.solve`` of that block's transpose (forward substitution,
+    not a product with an inverse) gives the strip to its right. A g of at
+    most ``TRIANGULAR_LEAF`` columns is one block, factored exactly as
+    that call factors it. Beside g it holds one strip of that many rows at
+    a time. Raises LinAlgError where ``np.linalg.cholesky`` finds a block
+    not positive definite.
     """
     n = g.shape[0]
-    if n <= TRIANGULAR_LEAF:
-        g[...] = np.linalg.cholesky(g).T
-        return
-    k = n // 2
-    _cholesky_upper(g[:k, :k])
-    _solve_transposed_upper(g[:k, :k], g[:k, k:])
-    r12 = g[:k, k:]
-    g[k:, k:] -= r12.T @ r12
-    g[k:, :k] = 0.0
-    _cholesky_upper(g[k:, k:])
-
-
-def _solve_transposed_upper(r: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite x with the solution y of ``r.T y = x``, r upper triangular
-    with zeros below its diagonal, by recursive 2 x 2 blocking.
-
-    With ``r = [[R11, R12], [0, R22]]`` this is forward substitution by
-    blocks: the top rows of x are solved by R11, ``R12.T`` times them is
-    taken off the bottom rows, and those are solved by R22. Blocks of at
-    most ``TRIANGULAR_LEAF`` rows go to ``np.linalg.solve``, so an r that
-    small is solved exactly as that call solves it. Beside x it holds the
-    product for the bottom rows, about half of x.
-    """
-    n = r.shape[0]
-    if n <= TRIANGULAR_LEAF:
-        x[...] = np.linalg.solve(r.T, x)
-        return
-    k = n // 2
-    _solve_transposed_upper(r[:k, :k], x[:k])
-    x[k:] -= r[:k, k:].T @ x[:k]
-    _solve_transposed_upper(r[k:, k:], x[k:])
+    for j in range(0, n, TRIANGULAR_LEAF):
+        k = min(j + TRIANGULAR_LEAF, n)
+        g[j:k, j:] -= g[:j, j:k].T @ g[:j, j:]
+        g[j:k, j:k] = np.linalg.cholesky(g[j:k, j:k]).T
+        g[j:k, k:] = np.linalg.solve(g[j:k, j:k].T, g[j:k, k:])
+        g[k:, j:k] = 0.0
 
 
 def _norm_product(t: np.ndarray) -> float:
     """``||t||_1 ||t||_inf`` of a square t, summed over blocks of
-    ``NORM_ROWS`` rows so that no temporary of t's size is made; NaN when
-    t holds a NaN."""
+    ``TRIANGULAR_LEAF`` rows so that no temporary of t's size is made; NaN
+    when t holds a NaN."""
     cols = np.zeros(t.shape[1])
     rows = np.empty(t.shape[0])
-    for i in range(0, t.shape[0], NORM_ROWS):
-        block = np.abs(t[i:i + NORM_ROWS])
+    for i in range(0, t.shape[0], TRIANGULAR_LEAF):
+        block = np.abs(t[i:i + TRIANGULAR_LEAF])
         cols += block.sum(axis=0)
-        rows[i:i + NORM_ROWS] = block.sum(axis=1)
+        rows[i:i + TRIANGULAR_LEAF] = block.sum(axis=1)
     return float(cols.max() * rows.max())
 
 
@@ -317,35 +289,29 @@ def qr_thin(a) -> tuple:
     return np.linalg.qr(a)
 
 
-def _invert_upper(r: np.ndarray, out: np.ndarray) -> None:
-    """Write the inverse of the upper triangle of r into out, zeros below
-    its diagonal, by recursive 2 x 2 blocking; out is an array of r's
-    shape, or r itself.
+def _invert_upper(r: np.ndarray) -> None:
+    """Overwrite the upper triangle of r with its inverse, zeros below the
+    diagonal, by column blocks of ``TRIANGULAR_LEAF`` (LAPACK's trtri).
 
-    With ``r = [[R11, R12], [0, R22]]`` the inverse is
-    ``[[X11, -(X11 @ R12) @ X22], [0, X22]]`` for ``Xii = Rii^{-1}``; the
-    diagonal blocks recurse down to ``TRIANGULAR_LEAF`` columns, where
-    ``np.linalg.inv`` takes over. About 2n^3 / 3 flops, all but the
-    leaves in gemm, so it runs as fast as trtri's n^3 / 3. Each block of
-    out is written only after the blocks of r that it replaces have been
-    read, so the inversion runs in place when out is r, beside one
-    quarter-size product. r is a factor that passed a QR's screen or a
-    Cholesky factorization; a zero diagonal entry makes
+    With ``X`` the inverse of the leading block already written over it,
+    block column ``j:k`` becomes ``X[:j, j:k] = -(X[:j, :j] @ R[:j, j:k])
+    @ Xjj`` beside its inverted diagonal block ``Xjj``, which
+    ``np.linalg.inv`` gives; an r of at most ``TRIANGULAR_LEAF`` columns
+    is one block. About 2n^3 / 3 flops, all but the diagonal blocks in
+    gemm, beside one strip of that many columns. r is a factor that passed
+    a QR's screen or a Cholesky factorization; a zero diagonal entry makes
     ``np.linalg.inv`` raise LinAlgError.
     """
     n = r.shape[0]
-    if n <= TRIANGULAR_LEAF:
+    for j in range(0, n, TRIANGULAR_LEAF):
+        k = min(j + TRIANGULAR_LEAF, n)
         # Partial pivoting never swaps rows of a triangular matrix, so
         # this is back substitution on the identity.
-        out[...] = np.triu(np.linalg.inv(np.triu(r)))
-        return
-    k = n // 2
-    _invert_upper(r[:k, :k], out[:k, :k])
-    _invert_upper(r[k:, k:], out[k:, k:])
-    t = out[:k, :k] @ r[:k, k:]
-    t *= -1.0
-    np.matmul(t, out[k:, k:], out=out[:k, k:])
-    out[k:, :k] = 0.0
+        r[j:k, j:k] = np.triu(np.linalg.inv(np.triu(r[j:k, j:k])))
+        t = r[:j, :j] @ r[:j, j:k]
+        t *= -1.0
+        np.matmul(t, r[j:k, j:k], out=r[:j, j:k])
+        r[j:k, :j] = 0.0
 
 
 def lu_factor_checked(c) -> float:

@@ -226,7 +226,8 @@ def prepare(a, b) -> PreparedBase:
     Gets R^{-1}, for an R with ``R.T R = a.T a``, without forming Q, and
     without copying ``a`` when it can. ``kernels.cholesky_rinv`` makes one
     Gram pass over ``a`` and overwrites the Gram matrix with R and then
-    R^{-1}, so it holds about 1.25 n^2 doubles beside ``a``. The
+    R^{-1}, so it holds about 1.125 n^2 doubles beside ``a``: the Gram
+    matrix and, while it checks it, its finiteness mask. The
     base solution x0 for b is then CSNE through that R^{-1} (the body of
     :func:`base_lstsq`): three more passes over ``a``. When it cannot
     certify its R, because cond(a) is too large for a Cholesky R,

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -25,7 +26,7 @@ def _inverse_of(r):
     """The inverse of r's upper triangle by the in-place inversion that
     both base kernels run, on a C-ordered copy of r."""
     inv = np.array(r, order="C")
-    _invert_upper(inv, inv)
+    _invert_upper(inv)
     return inv
 
 
@@ -181,7 +182,8 @@ def test_householder_qr_non_finite_qtb(bad):
 
 @pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (2053, 7), (768, 259), (2053, 1027)])
 def test_cholesky_qr_matches_householder_qr(m, n):
-    # n = 259 and 1027 take the recursive inverse several levels down.
+    # n = 259 and 1027 take 5 and 17 blocks of the Cholesky factorization
+    # and the inversion, the last of each ragged.
     rng = np.random.default_rng(m * 100 + n)
     a = rng.standard_normal((m, n)) + 3.0 * np.eye(m, n)
     b = rng.standard_normal(m)
@@ -226,11 +228,11 @@ def test_cholesky_qr_declines_quietly(case):
 @pytest.mark.parametrize("cond", [None, 1e4])
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300, 520])
 def test_cholesky_rinv_in_place_matches_lapack_cholesky(n, cond):
-    # cholesky_rinv factors and inverts over its Gram matrix. n = 63, 64
-    # and 65 straddle the leaf of the recursive Cholesky and inversion, 129
-    # splits into 64 + 65, and 300 splits three times. At 520 the
-    # triangular solve for the top R12 splits at 260, 130 and 65 rows
-    # before its leaves. cond None is a Gaussian base; 1e4 a graded one, singular
+    # cholesky_rinv factors and inverts over its Gram matrix. n = 63 and
+    # 64 are one block of the Cholesky factorization and the inversion, 65
+    # is a full block and a 1-column one, 129 three blocks, 300 five with
+    # a ragged last block, and 520 nine, the last 8 columns wide.
+    # cond None is a Gaussian base; 1e4 a graded one, singular
     # values log-spaced from 1 to 1e-4, which the certificate still passes
     # at 20 n x n.
     rng = np.random.default_rng(n)
@@ -262,10 +264,10 @@ def test_cholesky_rinv_in_place_matches_lapack_cholesky(n, cond):
 def test_cholesky_rinv_hands_lapack_leaf_blocks_only(n, monkeypatch):
     # np.linalg copies its operands into working arrays that tracemalloc
     # does not see, so test_factorization_holds_one_buffer cannot catch a
-    # large block handed to it. The recursive Cholesky factorization, its
-    # triangular solves and the inversion recurse until every block that
-    # reaches LAPACK has at most TRIANGULAR_LEAF rows; a solve's right-hand
-    # side is a strip of that many rows across its block of R12.
+    # large block handed to it. The Cholesky factorization and the
+    # inversion run over blocks of TRIANGULAR_LEAF rows, so every block
+    # that reaches LAPACK has at most that many; a solve's right-hand side
+    # is the strip of r to the right of its diagonal block.
     rows = []
     for name in ("solve", "cholesky", "inv"):
         real = getattr(np.linalg, name)
@@ -278,6 +280,36 @@ def test_cholesky_rinv_hands_lapack_leaf_blocks_only(n, monkeypatch):
     a = np.random.default_rng(n).standard_normal((4 * n, n))
     assert cholesky_rinv(a) is not None
     assert rows and max(rows) <= TRIANGULAR_LEAF
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64])
+def test_cholesky_rinv_leaf_is_lapack(n):
+    # A base of at most TRIANGULAR_LEAF columns is one block of the
+    # Cholesky factorization and of the inversion, so it is factored
+    # exactly as np.linalg.cholesky factors it and its R inverted exactly
+    # as np.linalg.inv inverts it.
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((20 * n, n))
+    ref = np.triu(np.linalg.inv(np.triu(np.linalg.cholesky(a.T @ a).T)))
+    np.testing.assert_array_equal(cholesky_rinv(a), ref)
+    r = rng.standard_normal((n, n)) + n * np.eye(n)
+    np.testing.assert_array_equal(_inverse_of(r), np.triu(np.linalg.inv(np.triu(r))))
+
+
+def test_cholesky_rinv_working_memory():
+    # tracemalloc sees numpy's buffers. cholesky_rinv's one n x n array is
+    # the Gram matrix; beside it sit the n^2-byte mask of its finiteness
+    # check and later at most two strips of TRIANGULAR_LEAF rows or
+    # columns, never a larger block of the factorization or the inversion.
+    n = 1500
+    a = np.random.default_rng(n).standard_normal((4 * n, n))
+    tracemalloc.start()
+    try:
+        assert cholesky_rinv(a) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (1.125 * n * n + 2 * TRIANGULAR_LEAF * n)
 
 
 # ------------------------------------------ R^{-1} b, the library's solve
@@ -298,8 +330,8 @@ def _graded_r(n, cond):
 def test_triangular_matches_scipy_on_graded_r(n, cond, cols):
     # The library solves r x = b as x = r^{-1} b, a product with the
     # inverse every QR hands back, where scipy back-substitutes.
-    # n = 63, 64, 65 straddle one leaf of the inversion; 1000 recurses four
-    # times.
+    # n = 63, 64, 65 straddle one block of the inversion; 1000 is 16
+    # blocks, the last 40 columns wide.
     r = _graded_r(n, cond)
     b = np.random.default_rng(n + 1).standard_normal(n if cols is None else (n, cols))
     x = _inverse_of(r) @ b
@@ -339,8 +371,8 @@ def test_invert_upper_triangular_residual_random():
 
 @pytest.mark.parametrize("cond", [1e2, 1e6, 1e10])
 def test_invert_upper_triangular_matches_trtri_on_graded_r(cond):
-    # n = 300 splits three times before the leaves; R of a graded matrix,
-    # log-spaced singular values from 1 to 1/cond.
+    # n = 300 is five blocks of the inversion, the last 44 columns wide;
+    # R of a graded matrix, log-spaced singular values from 1 to 1/cond.
     rng = np.random.default_rng(12)
     n = 300
     p, _ = np.linalg.qr(rng.standard_normal((2 * n, n)))

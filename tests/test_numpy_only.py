@@ -40,7 +40,8 @@ def _every_entry_point(out: Path) -> None:
     base = prepare(a, b)
     upd = LowRankUpdate(u, v)
     ws = build_workspace(base, upd)
-    # n > TRIANGULAR_LEAF takes the recursive inverse of R; a graded base
+    # n > TRIANGULAR_LEAF takes two blocks of the Cholesky factorization
+    # and of the inverse of R, the second 6 columns wide; a graded base
     # of cond 1e10 fails cholesky_rinv's certificate and takes Householder.
     wide = prepare(rng.standard_normal((4 * TRIANGULAR_LEAF, TRIANGULAR_LEAF + 6)),
                    np.zeros(4 * TRIANGULAR_LEAF))

@@ -965,12 +965,12 @@ def test_factorization_holds_one_buffer(fn):
     # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
     # it, with no m x n temporaries of its own. prepare's cholesky_rinv
     # makes no such buffer: its one n x n array is the Gram matrix, which
-    # it overwrites with R and then R^{-1}, beside at most a quarter-size
-    # block at a time (the recursive Cholesky's trailing update or the
-    # inversion's product; its triangular solve's product is an eighth),
-    # so it peaks near 1.25 n^2 doubles at large n. LAPACK's own copies
-    # are not traced; test_cholesky_rinv_hands_lapack_leaf_blocks_only
-    # keeps them leaf-sized.
+    # it overwrites with R and then R^{-1}, beside the n^2-byte mask of its
+    # finiteness check and then at most two strips of TRIANGULAR_LEAF rows
+    # or columns, so it peaks near 1.125 n^2 doubles at large n
+    # (test_cholesky_rinv_working_memory). LAPACK's own copies are not
+    # traced; test_cholesky_rinv_hands_lapack_leaf_blocks_only keeps them
+    # leaf-sized.
     # The CSNE x0 after it holds R^{-1} and length-m vectors, which weigh
     # 0.3 n^2 each at 3000 x 100 and 0.07 n^2 at 6000 x 300. When it
     # declines, Householder QR drops its buffer before it inverts R, so R
@@ -1006,14 +1006,13 @@ def test_prepare_inverts_once_when_certified_twice_when_declined(monkeypatch):
     # by CSNE through that inverse. Declined past its certificate (at cond
     # 1e6 the Cholesky factorization succeeds and kappa^2 eps is far above
     # TAU), it has inverted its R, and Householder QR inverts its own. Both
-    # run kernels._invert_upper, which at n = 40 < TRIANGULAR_LEAF is one
-    # call per inversion, with no recursion.
+    # run kernels._invert_upper, one call per inversion.
     calls = []
     real = kernels._invert_upper
 
-    def counting(r, out):
+    def counting(r):
         calls.append(r.shape)
-        real(r, out)
+        real(r)
 
     monkeypatch.setattr(kernels, "_invert_upper", counting)
     rng = np.random.default_rng(45)
