@@ -196,10 +196,10 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
     orthogonal. It returns no ``q.T @ b``: ``woodbury.prepare`` takes the
     base solution by the corrected seminormal equations (CSNE; Björck
     1987, LAA 88/89) through rinv. After the Gram product g is its one
-    n x n array: beside a it holds g and its n^2-byte finiteness mask,
-    about 1.125 n^2 doubles, and later at most two strips of
-    ``TRIANGULAR_LEAF`` rows or columns. LAPACK sees only blocks of at
-    most ``TRIANGULAR_LEAF`` rows, so the working copies it makes, which
+    n x n array, which it screens by its diagonal alone: beside a it holds
+    g and at most two strips of ``TRIANGULAR_LEAF`` rows or columns, about
+    n^2 + 128 n doubles. LAPACK sees only blocks of at most
+    ``TRIANGULAR_LEAF`` rows, so the working copies it makes, which
     tracemalloc does not see, stay that small.
 
     It certifies r when ``kappa^2 eps <= TAU``, with kappa the Hoelder
@@ -219,21 +219,24 @@ def cholesky_rinv(a) -> Optional[np.ndarray]:
     m < 6e9.
 
     Returns the n x n upper-triangular, C-contiguous rinv, or None when
-    it cannot vouch for it: ``a.T a`` is not finite or so small that
-    underflow outweighs its roundoff, the Cholesky factorization fails,
-    or ``kappa^2 eps > TAU``; a NaN or infinity in rinv makes kappa NaN
-    or infinite and is declined with it. It then emits no warning; a
-    caller falls back to ``householder_qr``, which raises the matching
-    error, if any. It raises nothing of its own.
+    it cannot vouch for it: the diagonal of ``a.T a`` is not finite or so
+    small that underflow outweighs its roundoff, the Cholesky
+    factorization fails, or ``kappa^2 eps > TAU``; a NaN or infinity in
+    rinv makes kappa NaN or infinite and is declined with it. It then
+    emits no warning; a caller falls back to ``householder_qr``, which
+    raises the matching error, if any. It raises nothing of its own.
     """
     m, n = a.shape
     with np.errstate(all="ignore"):
         g = a.T @ a
         # Underflow in a.T a adds up to m n subnormal spacings to g, which
         # the certificate's roundoff model leaves out; below this scale it
-        # could pass an r that misstates cond(a).
-        if not (np.isfinite(g).all()
-                and g.diagonal().max(initial=0.0) > 2.0 * m * n * SUBNORMAL / EPS):
+        # could pass an r that misstates cond(a). The diagonal also stands
+        # for all of g: a NaN or infinity in column j of a makes g[j, j] so
+        # (a NaN fails both comparisons), and |g[i, j]| <= sqrt(g[i, i]
+        # g[j, j]), so an overflow off the diagonal needs a diagonal entry
+        # within roundoff of the threshold, where r or kappa turns non-finite.
+        if not 2.0 * m * n * SUBNORMAL / EPS < g.diagonal().max(initial=0.0) < np.inf:
             return None
         try:
             _cholesky_upper(g)

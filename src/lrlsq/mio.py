@@ -106,8 +106,12 @@ def write_matrix(path, mat) -> None:
     """Write a matrix (or a vector, stored as one column) as MatrixMarket.
 
     Values go out column-major with 17 significant digits; reading the file
-    back reproduces the input exactly.
+    back reproduces the input exactly. Raises TypeError for a complex
+    array rather than drop its imaginary part.
     """
+    mat = np.asarray(mat)
+    if np.iscomplexobj(mat):
+        raise TypeError(f"mat must be real, got dtype {mat.dtype}")
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim == 1:
         mat = mat[:, None]

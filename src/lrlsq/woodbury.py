@@ -36,9 +36,9 @@ solves. Skinny products are written with the skinny operand on the left,
 ``a.T @ c``, which is the faster layout for C-ordered ``a``: 2x-3x in
 OpenBLAS (see the README's performance note).
 
-``prepare``, ``LowRankUpdate``, ``ata_solve`` and the solvers take their
-arrays as float64 and raise TypeError for a complex one rather than drop
-its imaginary part.
+``prepare``, ``LowRankUpdate``, ``ata_solve``, the solvers and
+``updated_normal_residual`` take their arrays as float64 and raise
+TypeError for a complex one rather than drop its imaginary part.
 
 The solves compute no certificate of their own: a caller that wants one
 runs ``updated_normal_residual``, the normal-equations residual of any x
@@ -207,7 +207,22 @@ def _conforming(upd: LowRankUpdate, m: int, n: int) -> None:
 
 
 def updated_normal_residual(a, u, v, x, b) -> float:
-    """``||ahat.T (ahat x - b)||_2`` without forming ``ahat = a + u v.T``."""
+    """``||ahat.T (ahat x - b)||_2`` without forming ``ahat = a + u v.T``.
+
+    x is a length-n vector and b a length-m one, or x is n x k and b
+    m x k; u is m x r and v n x r. Raises DimensionMismatch for any other
+    shapes, and TypeError for a complex operand. It screens no finiteness:
+    a NaN or infinity comes back as the result.
+    """
+    a = _base_matrix(a)
+    m, n = a.shape
+    x = _operand(x, "x", n, (1, 2))
+    b = _operand(b, "b", m, (x.ndim,))
+    u = _operand(u, "u", m, (2,))
+    v = _operand(v, "v", n, (2,))
+    if b.shape[1:] != x.shape[1:] or u.shape[1] != v.shape[1]:
+        raise DimensionMismatch(f"x and b, and u and v, must share column counts, got "
+                                f"x {x.shape}, b {b.shape}, u {u.shape}, v {v.shape}")
     # An infinity in x or b turns into NaN in these products, which is
     # passed on below without a warning.
     with np.errstate(invalid="ignore"):
@@ -226,8 +241,8 @@ def prepare(a, b) -> PreparedBase:
     Gets R^{-1}, for an R with ``R.T R = a.T a``, without forming Q, and
     without copying ``a`` when it can. ``kernels.cholesky_rinv`` makes one
     Gram pass over ``a`` and overwrites the Gram matrix with R and then
-    R^{-1}, so it holds about 1.125 n^2 doubles beside ``a``: the Gram
-    matrix and, while it checks it, its finiteness mask. The
+    R^{-1}, so it holds the Gram matrix beside ``a`` and, at a time, at
+    most two strips of 64 rows or columns: about n^2 + 128 n doubles. The
     base solution x0 for b is then CSNE through that R^{-1} (the body of
     :func:`base_lstsq`): three more passes over ``a``. When it cannot
     certify its R, because cond(a) is too large for a Cholesky R,

@@ -206,7 +206,8 @@ def test_cholesky_qr_leaves_input_untouched(order):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", ["zero", "repeated column", "ill-conditioned", "nan in a",
-                                  "inf in a", "1e-300", "1e-160", "1e200"])
+                                  "inf in a", "1e-300", "1e-160", "1e200",
+                                  "one column 1e160"])
 def test_cholesky_qr_declines_quietly(case):
     rng = np.random.default_rng(20)
     a = rng.standard_normal((50, 6))
@@ -220,6 +221,9 @@ def test_cholesky_qr_declines_quietly(case):
         a = q * np.geomspace(1.0, 1e-8, 6)
     elif case in ("nan in a", "inf in a"):
         a[4, 2] = np.nan if case == "nan in a" else np.inf
+    elif case == "one column 1e160":
+        # a is finite and so is all of a.T a but its entry (2, 2).
+        a[:, 2] *= 1e160
     else:
         a *= float(case)
     assert cholesky_rinv(a) is None
@@ -298,9 +302,12 @@ def test_cholesky_rinv_leaf_is_lapack(n):
 
 def test_cholesky_rinv_working_memory():
     # tracemalloc sees numpy's buffers. cholesky_rinv's one n x n array is
-    # the Gram matrix; beside it sit the n^2-byte mask of its finiteness
-    # check and later at most two strips of TRIANGULAR_LEAF rows or
-    # columns, never a larger block of the factorization or the inversion.
+    # the Gram matrix, which it screens by its diagonal with no mask;
+    # beside it sit at most two strips of TRIANGULAR_LEAF rows or columns
+    # (the certificate's norms hold one block's absolute values while the
+    # next one's are made), never a larger block of the factorization or
+    # the inversion, and under one leaf block's worth of vectors of length
+    # n and Python objects.
     n = 1500
     a = np.random.default_rng(n).standard_normal((4 * n, n))
     tracemalloc.start()
@@ -309,7 +316,7 @@ def test_cholesky_rinv_working_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (1.125 * n * n + 2 * TRIANGULAR_LEAF * n)
+    assert peak <= 8 * (n * n + 2 * TRIANGULAR_LEAF * n + TRIANGULAR_LEAF**2)
 
 
 # ------------------------------------------ R^{-1} b, the library's solve

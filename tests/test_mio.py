@@ -118,6 +118,14 @@ def test_write_refuses_non_finite(tmp_path):
         write_matrix(tmp_path / "bad.mtx", np.array([[np.nan]]))
 
 
+def test_write_refuses_complex(tmp_path):
+    # Casting to float64 would drop the imaginary part and write [1, 3].
+    path = tmp_path / "complex.mtx"
+    with pytest.raises(TypeError, match="complex"):
+        write_matrix(path, np.array([1 + 2j, 3]))
+    assert not path.exists()
+
+
 def test_round_trip_fixed_cases(tmp_path):
     for name, mat in [
         ("identity", np.eye(2)),

@@ -690,6 +690,40 @@ def test_normal_equations_certificate_passes_non_finite_on(name, bad):
     assert not np.isfinite(updated_normal_residual(**args))
 
 
+@pytest.mark.parametrize("name, bad, error", [
+    pytest.param("x", lambda x: x[:, None], DimensionMismatch, id="column x"),
+    pytest.param("b", lambda b: b[:, None], DimensionMismatch, id="column b"),
+    pytest.param("x", lambda x: x[:-1], DimensionMismatch, id="short x"),
+    pytest.param("b", lambda b: np.ones((40, 2)), DimensionMismatch, id="block b"),
+    pytest.param("u", lambda u: u[:-1], DimensionMismatch, id="short u"),
+    pytest.param("v", lambda v: v[:, :1], DimensionMismatch, id="rank of v"),
+    pytest.param("v", lambda v: v[:, 0], DimensionMismatch, id="vector v"),
+    pytest.param("a", lambda a: a[0], DimensionMismatch, id="vector a"),
+    pytest.param("x", lambda x: x.astype(complex), TypeError, id="complex x"),
+])
+def test_normal_equations_certificate_rejects_mismatched_operands(name, bad, error):
+    # Broadcasting would turn a column x or b into an m x m residual, far
+    # from the answer, and casting a complex x would drop its imaginary part.
+    rng = np.random.default_rng(47)
+    args = {"a": rng.standard_normal((40, 6)), "u": rng.standard_normal((40, 2)),
+            "v": rng.standard_normal((6, 2)), "x": rng.standard_normal(6),
+            "b": rng.standard_normal(40)}
+    args[name] = bad(args[name])
+    with pytest.raises(error):
+        updated_normal_residual(**args)
+
+
+def test_normal_equations_certificate_of_a_block():
+    # Column j of an (n, k) x against an (m, k) b is certified as the vector
+    # pair would be.
+    rng = np.random.default_rng(48)
+    a, u, v = (rng.standard_normal(s) for s in ((40, 6), (40, 2), (6, 2)))
+    xs, bs = rng.standard_normal((6, 3)), rng.standard_normal((40, 3))
+    want = [updated_normal_residual(a, u, v, xs[:, j], bs[:, j]) for j in range(3)]
+    got = updated_normal_residual(a, u, v, xs, bs)
+    assert abs(got - np.linalg.norm(want)) <= 1e-12 * got
+
+
 def test_solve_with_fresh_rhs_recomputes_base_solution():
     rng = np.random.default_rng(20)
     a, b, u, v, base, ws = draw_instance(rng, 30, 9, 2)
@@ -965,9 +999,8 @@ def test_factorization_holds_one_buffer(fn):
     # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
     # it, with no m x n temporaries of its own. prepare's cholesky_rinv
     # makes no such buffer: its one n x n array is the Gram matrix, which
-    # it overwrites with R and then R^{-1}, beside the n^2-byte mask of its
-    # finiteness check and then at most two strips of TRIANGULAR_LEAF rows
-    # or columns, so it peaks near 1.125 n^2 doubles at large n
+    # it overwrites with R and then R^{-1}, beside at most two strips of
+    # TRIANGULAR_LEAF rows or columns, so it peaks near n^2 + 128 n doubles
     # (test_cholesky_rinv_working_memory). LAPACK's own copies are not
     # traced; test_cholesky_rinv_hands_lapack_leaf_blocks_only keeps them
     # leaf-sized.
