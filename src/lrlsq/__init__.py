@@ -3,10 +3,10 @@
 Prepare a tall full-rank base matrix once, then solve
 ``min ||b - (a + u v.T) x||_2`` for many updates and right-hand sides at a
 fraction of the cost of refactoring; ``updated_normal_residual`` certifies
-any solution. The package exports the solver of ``lrlsq.woodbury`` and
-the errors of ``lrlsq.errors``. The timing harness (``lrlsq.bench``), the
-file formats (``lrlsq.mio``) and the command line (``lrlsq.cli``) are
-imported from their modules.
+any solution. The package exports the solver of ``lrlsq.woodbury``,
+without its ``ata_solve``, and the errors of ``lrlsq.errors``. The timing
+harness (``lrlsq.bench``), the file formats (``lrlsq.mio``) and the
+command line (``lrlsq.cli``) are imported from their modules.
 """
 
 from .errors import (
@@ -22,7 +22,6 @@ from .woodbury import (
     PreparedBase,
     SolveOutcome,
     UpdateWorkspace,
-    ata_solve,
     baseline_solve,
     build_workspace,
     prepare,
@@ -44,7 +43,6 @@ __all__ = [
     "SingularCapacitance",
     "SolveOutcome",
     "UpdateWorkspace",
-    "ata_solve",
     "baseline_solve",
     "build_workspace",
     "prepare",

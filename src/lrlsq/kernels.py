@@ -275,12 +275,15 @@ def _cholesky_upper(g: np.ndarray) -> None:
 
 def _norm_product(t: np.ndarray) -> float:
     """``||t||_1 ||t||_inf`` of a square t, summed over blocks of
-    ``TRIANGULAR_LEAF`` rows so that no temporary of t's size is made; NaN
-    when t holds a NaN."""
+    ``TRIANGULAR_LEAF`` rows in one reused buffer of t's layout, so that
+    it holds one such strip and no temporary of t's size; NaN when t holds
+    a NaN."""
     cols = np.zeros(t.shape[1])
     rows = np.empty(t.shape[0])
+    strip = np.empty_like(t[:TRIANGULAR_LEAF])
     for i in range(0, t.shape[0], TRIANGULAR_LEAF):
-        block = np.abs(t[i:i + TRIANGULAR_LEAF])
+        part = t[i:i + TRIANGULAR_LEAF]
+        block = np.abs(part, out=strip[:part.shape[0]])
         cols += block.sum(axis=0)
         rows[i:i + TRIANGULAR_LEAF] = block.sum(axis=1)
     return float(cols.max() * rows.max())

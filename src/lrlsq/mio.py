@@ -136,5 +136,6 @@ def write_bench_csv(path, records) -> None:
         fh.write(CSV_HEADER + "\n")
         for rec in records:
             row = [getattr(rec, name) for name in names]
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+            # float() first: numpy 2 writes a numpy float as "np.float64(...)".
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")

@@ -14,8 +14,10 @@ matrix is ``a.T a + x_blk @ yt``, so its inverse is a rank-2r correction of
 ``z`` solves ``(a.T a) z = x_blk``. Singularity of that capacitance is
 equivalent to the updated matrix losing full column rank, which is how the
 solver detects and rejects rank-dropping updates. The n x n correction is
-never materialized; ``prepare``/``build_workspace``/``solve_updated`` carry
-only z (n x 2r), yt (2r x n) and the 2r x 2r capacitance.
+never materialized: the solve reads only z (n x 2r), yt (2r x n) and the
+2r x 2r capacitance from a workspace. A workspace also keeps x_blk, and
+references to the base and the update it was built from, so that a solve
+refuses any other.
 
 ``prepare`` gets R^{-1}, for an R with ``R.T R = a.T a``, without forming
 Q. It first tries one Gram pass over ``a`` and a Cholesky factorization
@@ -46,7 +48,9 @@ for ``a + u v.T``, at the price of two passes over ``a``.
 
 Every record here is immutable after construction, with no lazily built
 state, and the solve path is pure: one PreparedBase may serve many
-workspaces, and one workspace many right-hand sides, concurrently.
+workspaces, and one workspace many right-hand sides, concurrently. The
+records that hold arrays compare and hash by identity, as an array has no
+one-bool ``==``; a caller may key workspaces by update.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from . import kernels
 from .errors import DimensionMismatch, NonFiniteValue
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparedBase:
     """Reusable solver state for one base matrix, built by :func:`prepare`.
 
@@ -80,7 +84,7 @@ class PreparedBase:
     x0: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowRankUpdate:
     """A rank-r modification ``u @ v.T`` of an m x n base matrix.
 
@@ -115,11 +119,15 @@ class LowRankUpdate:
         return self.u.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UpdateWorkspace:
     """Per-update state, reusable across right-hand sides.
 
-    x_blk : n x 2r block ``[v, a.T @ u]``.
+    base  : the PreparedBase it was built on, and
+    upd   : the LowRankUpdate it was built for; references, not copies.
+            :func:`solve_updated` and :func:`solve_many` refuse any other
+            base, and any update over other arrays.
+    x_blk : n x 2r block ``[v, a.T @ u]``. The solve does not read it.
     yt    : 2r x n block ``[u.T @ a + (u.T u) v.T; v.T]``; shares the one
             product u.T @ a with x_blk rather than touching the updated
             matrix.
@@ -127,8 +135,11 @@ class UpdateWorkspace:
             are ``(a.T a)^{-1} v``, reused by the solve step.
     cap   : the 2r x 2r capacitance ``I + yt @ z``; read-only.
     cap_rcond : its 1-norm reciprocal condition number.
+    rank  : r, the update's rank.
     """
 
+    base: PreparedBase
+    upd: LowRankUpdate
     x_blk: np.ndarray
     yt: np.ndarray
     z: np.ndarray
@@ -137,16 +148,16 @@ class UpdateWorkspace:
     rank: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveOutcome:
-    """Solution of one updated least squares problem.
+    """Solution of one updated least squares problem, returned by
+    :func:`solve_updated`.
 
-    cap_rcond is the workspace's capacitance condition diagnostic, in
-    (0, 1]. :func:`updated_normal_residual` certifies x.
+    x is the minimizer; :func:`updated_normal_residual` certifies it. The
+    capacitance's rcond is on the workspace, as ``cap_rcond``.
     """
 
     x: np.ndarray
-    cap_rcond: float
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -286,6 +297,8 @@ def ata_solve(base: PreparedBase, c) -> np.ndarray:
     any other shape raises DimensionMismatch. The result z satisfies
     ``||a.T a z - c||_F <= ~1e-10 ||a.T a||_F ||z||_F`` on well-conditioned
     instances (instance-dependent; the bound degrades with cond(a)^2).
+    The package does not export it: the solvers run ``_ata_solve``, and
+    this checked form serves the benchmark's ``woodbury.ata_solve`` layer.
     """
     return _ata_solve(base.rinv, _operand(c, "c", base.a.shape[1], (1, 2)))
 
@@ -362,9 +375,23 @@ def build_workspace(base: PreparedBase, upd: LowRankUpdate) -> UpdateWorkspace:
         )
     cap_rcond = kernels.lu_factor_checked(cap)
     return UpdateWorkspace(
-        x_blk=_freeze(x_blk), yt=_freeze(yt), z=_freeze(z),
+        base=base, upd=upd, x_blk=_freeze(x_blk), yt=_freeze(yt), z=_freeze(z),
         cap=_freeze(cap), cap_rcond=cap_rcond, rank=r,
     )
+
+
+def _check_workspace(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace) -> None:
+    """Raise DimensionMismatch unless ws was built on base, and for upd or
+    for an update over the same or equal arrays. Identity is tested first,
+    so the usual call makes no pass over u."""
+    if ws.base is not base:
+        raise DimensionMismatch("the workspace was built on another base")
+    for name in ("u", "v"):
+        built, given = getattr(ws.upd, name), getattr(upd, name)
+        if built is not given and not np.array_equal(built, given):
+            raise DimensionMismatch(
+                f"the workspace was built for another update: its {name} is not upd.{name}"
+            )
 
 
 def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
@@ -375,6 +402,7 @@ def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     vector b and each of its columns takes the CSNE solve of
     :func:`base_lstsq`.
     """
+    _check_workspace(base, upd, ws)
     if np.array_equal(b, base.b):
         x0 = base.x0
     else:
@@ -402,15 +430,15 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
 
     ``updated_normal_residual(base.a, upd.u, upd.v, x, b)`` certifies x
     (two passes over a). For a b other than the bound one, x0 comes from
-    :func:`base_lstsq`, which was measured within the least squares
-    sensitivity bound up to cond 1e8 and 41x over it at cond 1e10.
+    :func:`base_lstsq`, whose docstring gives its measured accuracy.
 
-    Raises DimensionMismatch unless b is a length-m vector, and
-    NonFiniteValue when b is not the bound right-hand side and holds NaN
-    or infinity.
+    Raises DimensionMismatch unless b is a length-m vector, and when ws
+    was built on another base object or for an update over other arrays;
+    and NonFiniteValue when b is not the bound right-hand side and holds
+    NaN or infinity. Returns a SolveOutcome whose one field is x.
     """
     b = _operand(b, "b", base.a.shape[0], (1,))
-    return SolveOutcome(x=_solve(base, upd, ws, b), cap_rcond=ws.cap_rcond)
+    return SolveOutcome(x=_solve(base, upd, ws, b))
 
 
 def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
@@ -425,11 +453,11 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     ``solve_updated`` returns on ``bs[:, j]`` to roundoff (within 1e-13
     relative on well-conditioned instances), and the result is the same
     bits from run to run. Each column's base solve is :func:`base_lstsq`'s,
-    measured within the least squares sensitivity bound up to cond 1e8
-    and 41x over it at cond 1e10.
+    whose docstring gives its measured accuracy.
 
-    Raises DimensionMismatch for any other shape of bs, and NonFiniteValue
-    when any column holds NaN or infinity.
+    Raises DimensionMismatch for any other shape of bs and for a
+    mismatched workspace, as :func:`solve_updated` does, and
+    NonFiniteValue when any column holds NaN or infinity.
     """
     return _solve(base, upd, ws, _operand(bs, "bs", base.a.shape[0], (2,)))
 

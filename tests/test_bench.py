@@ -67,6 +67,8 @@ def test_stream_id_bounds():
         stream_id(10, 2, 2**16, 0)
     with pytest.raises(ValueError):
         stream_id(10, 2**16, 0, 0)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        stream_id(-1, 2, 0, 0)
 
 
 # ------------------------------------------------------------- BenchConfig
@@ -96,6 +98,8 @@ def test_config_validation():
     assert BenchConfig(m=big, n_list=[big], r_list=[big], reps=1, seed=0).r_list == (big,)
     with pytest.raises(ValueError, match="r_list entries must be below 65536"):
         BenchConfig(m=70000, n_list=[70000], r_list=[2**16], reps=1, seed=0)
+    with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer"):
+        BenchConfig(m=50, n_list=[10], r_list=[2], reps=1, seed=2**64)
 
 
 # ----------------------------------------------------------- run_benchmark

@@ -29,10 +29,15 @@ def _solve_args(paths, *extra):
             "--v", paths["v"], "--out", paths["out"], *extra]
 
 
-def test_solve_worked_instance(worked_instance):
+def test_solve_worked_instance(worked_instance, tmp_path):
     assert cli_main(_solve_args(worked_instance)) == 0
     x = read_matrix(worked_instance["out"])
     np.testing.assert_allclose(x, [[4.0], [4.0]], atol=1e-14)
+    # b stored as a 1 x m row reads as the same vector.
+    worked_instance["b"] = str(tmp_path / "b_row.mtx")
+    write_matrix(worked_instance["b"], B32[None, :])
+    assert cli_main(_solve_args(worked_instance)) == 0
+    np.testing.assert_array_equal(read_matrix(worked_instance["out"]), x)
 
 
 def test_missing_flag_is_usage_error(capsys):
@@ -171,6 +176,13 @@ def test_bench_bad_list_is_usage_error(capsys):
     rc = cli_main(["bench", "--m", "60", "--n-list", "8,potato", "--r-list", "2",
                    "--reps", "1", "--seed", "0", "--out", "x.csv"])
     assert rc == 2
+    for flag, value, message in [("--n-list", ",", "expected at least one integer"),
+                                 ("--seed", str(2**64), "seed must be in [0, 2^64)")]:
+        args = {"--m": "60", "--n-list": "8", "--r-list": "2", "--reps": "1",
+                "--seed": "0", "--out": "x.csv", flag: value}
+        rc = cli_main(["bench", *(tok for item in args.items() for tok in item)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 def test_module_entry_point(worked_instance):

@@ -319,6 +319,20 @@ def test_cholesky_rinv_working_memory():
     assert peak <= 8 * (n * n + 2 * TRIANGULAR_LEAF * n + TRIANGULAR_LEAF**2)
 
 
+def test_norm_product_holds_one_strip():
+    # One reused strip of TRIANGULAR_LEAF rows, the column and row sums,
+    # one block's column sums, and under a leaf block of small objects.
+    n = 1500
+    t = np.random.default_rng(n).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        _norm_product(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ((TRIANGULAR_LEAF + 3) * n + TRIANGULAR_LEAF**2)
+
+
 # ------------------------------------------ R^{-1} b, the library's solve
 
 @lru_cache(maxsize=None)

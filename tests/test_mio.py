@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -118,6 +120,14 @@ def test_write_refuses_non_finite(tmp_path):
         write_matrix(tmp_path / "bad.mtx", np.array([[np.nan]]))
 
 
+def test_write_refuses_bad_shape(tmp_path):
+    for shape in [(2, 2, 2), (0, 3)]:
+        path = tmp_path / "bad.mtx"
+        with pytest.raises(DimensionMismatch, match=re.escape(f"cannot write array of shape {shape}")):
+            write_matrix(path, np.ones(shape))
+        assert not path.exists()
+
+
 def test_write_refuses_complex(tmp_path):
     # Casting to float64 would drop the imaginary part and write [1, 3].
     path = tmp_path / "complex.mtx"
@@ -183,6 +193,16 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "bench.csv"
     write_bench_csv(path, records)
     assert read_bench_csv(path) == records
+
+
+def test_csv_writes_numpy_scalars_as_plain_numbers(tmp_path):
+    # numpy 2's repr of a numpy float is "np.float64(2.5)".
+    rec = BenchRecord(m=5, n=3, r=1, rep=0, seed=1, t_scratch_ns=np.int64(10),
+                      t_woodbury_ns=np.int64(4), rel_forward_error=np.float64(1e-13))
+    path = tmp_path / "bench.csv"
+    write_bench_csv(path, [rec])
+    assert path.read_text().splitlines()[1] == "5,3,1,0,1,10,4,2.5,1e-13"
+    assert read_bench_csv(path) == [rec]
 
 
 def test_csv_rejects_foreign_header(tmp_path):
