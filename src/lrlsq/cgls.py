@@ -6,6 +6,9 @@ operator exposing ``shape``, ``@`` and ``.T``. The library's solvers do
 not use it: it is kept only for the benchmark's ``cgls.*`` layers, which
 time it against the factored base, and goes when those layers do.
 
+Its right-hand side passes ``lrlsq.woodbury``'s input checks, shared
+with the solvers there, so it is refused as theirs are.
+
 It runs on two constants: each column stops once its relative residual
 ``||a.T a z - c|| / ||c||`` is at most ``TOL``, and fails after
 ``STEPS_PER_UNKNOWN * n`` steps.
@@ -20,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, NonFiniteValue
+from .errors import ConvergenceFailure
+from .woodbury import _operand, _require_finite
 
 TOL = 1e-12
 STEPS_PER_UNKNOWN = 4
@@ -68,26 +72,17 @@ def _cg_column(a, at, c_col, max_steps):
 def normal_cg_solve(a, c):
     """Solve ``(a.T a) z = c`` column by column, matrix-free.
 
-    c is an n x q block. Returns ``(z, steps)``: z has c's shape, and
-    steps[j] counts the CG steps of column j.
+    c is an n x q block, q >= 1. Returns ``(z, steps)``: z has c's shape,
+    and steps[j] counts the CG steps of column j.
 
-    Raises TypeError when c is complex, as ``lrlsq.woodbury``'s functions
-    do, DimensionMismatch when c is not an n x q block, NonFiniteValue
-    when c holds NaN or infinity, and ConvergenceFailure, naming the
+    Raises TypeError when c is complex, DimensionMismatch when c is not
+    an n x q block, and NonFiniteValue when c holds NaN or infinity, all
+    by ``lrlsq.woodbury``'s checks; and ConvergenceFailure, naming the
     columns, when any column misses ``TOL`` within the step cap.
     """
     n = a.shape[1]
-    c = np.asarray(c)
-    if np.iscomplexobj(c):
-        raise TypeError(f"c must be real, got dtype {c.dtype}")
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] != n:
-        raise DimensionMismatch(
-            f"c must be an ({n}, q) block to conform with a of shape {a.shape}, "
-            f"got shape {c.shape}"
-        )
-    if not np.isfinite(c).all():
-        raise NonFiniteValue("c contains NaN or infinite entries")
+    c = _operand(c, "c", n, (2,))
+    _require_finite(c, "c")
     max_steps = STEPS_PER_UNKNOWN * n
     at = a.T
 

@@ -4,7 +4,9 @@ Matrices travel as MatrixMarket dense arrays: banner
 ``%%MatrixMarket matrix array real general``, optional ``%`` comment lines,
 a ``rows cols`` size line, then rows*cols values in column-major order.
 Values are written with 17 significant digits, so write -> read is
-value-exact for every finite double.
+value-exact for every finite double. Realness and finiteness are checked
+by ``lrlsq.woodbury``'s input checks, which the solvers share, so a
+matrix is refused on write and on read as a solver refuses it.
 
 Benchmark records travel as CSV under ``CSV_HEADER``, the field names of
 ``BenchRecord`` in order; column order is an external contract. The
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedHeader, NonFiniteValue
+from .errors import DimensionMismatch, MalformedHeader
+from .woodbury import _real, _require_finite
 
 MM_BANNER = "%%MatrixMarket matrix array real general"
 
@@ -97,8 +100,7 @@ def read_matrix(path) -> np.ndarray:
             f"but holds {len(values)}"
         )
     data = np.array(values, dtype=np.float64)
-    if not np.all(np.isfinite(data)):
-        raise NonFiniteValue("matrix file contains NaN or infinite entries")
+    _require_finite(data, "matrix file")
     return data.reshape((rows, cols), order="F")
 
 
@@ -107,18 +109,16 @@ def write_matrix(path, mat) -> None:
 
     Values go out column-major with 17 significant digits; reading the file
     back reproduces the input exactly. Raises TypeError for a complex
-    array rather than drop its imaginary part.
+    array rather than drop its imaginary part, DimensionMismatch for an
+    empty array or one of more than two axes, and NonFiniteValue for NaN
+    or infinity.
     """
-    mat = np.asarray(mat)
-    if np.iscomplexobj(mat):
-        raise TypeError(f"mat must be real, got dtype {mat.dtype}")
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = _real(mat, "mat")
     if mat.ndim == 1:
         mat = mat[:, None]
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise DimensionMismatch(f"cannot write array of shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise NonFiniteValue("refusing to write NaN or infinite entries")
+    _require_finite(mat, "mat")
     rows, cols = mat.shape
     with open(path, "w", encoding="ascii") as fh:
         fh.write(MM_BANNER + "\n")

@@ -41,6 +41,10 @@ OpenBLAS (see the README's performance note).
 ``prepare``, ``LowRankUpdate``, ``ata_solve``, the solvers and
 ``updated_normal_residual`` take their arrays as float64 and raise
 TypeError for a complex one rather than drop its imaginary part.
+Each input rule is written once, here, and ``lrlsq.cgls`` and
+``lrlsq.mio`` call the same checks: ``_real`` (realness and the float64
+cast), ``_require_finite`` (no NaN or infinity) and ``_operand`` (the
+shape of a vector or an (n, k) block).
 
 The solves compute no certificate of their own: a caller that wants one
 runs ``updated_normal_residual``, the normal-equations residual of any x
@@ -395,8 +399,9 @@ def _check_workspace(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace
 
 
 def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
-           b: np.ndarray) -> np.ndarray:
-    """The update solve for a length-m vector b or an m x k block b.
+           b: np.ndarray, name: str) -> np.ndarray:
+    """The update solve for a length-m vector b or an m x k block b, which
+    an error names as name.
 
     ``np.array_equal`` compares shapes, so a block never matches the bound
     vector b and each of its columns takes the CSNE solve of
@@ -408,7 +413,7 @@ def _solve(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     else:
         # The bound b was screened by prepare; any other b is screened here,
         # beside the pass over the base that its solve costs anyway.
-        _require_finite(b, "b")
+        _require_finite(b, name)
         x0 = _csne(base.a, base.rinv, b)
     w = x0 + ws.z[:, : ws.rank] @ (upd.u.T @ b)
     return w - ws.z @ np.linalg.solve(ws.cap, ws.yt @ w)
@@ -438,7 +443,7 @@ def solve_updated(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     NaN or infinity. Returns a SolveOutcome whose one field is x.
     """
     b = _operand(b, "b", base.a.shape[0], (1,))
-    return SolveOutcome(x=_solve(base, upd, ws, b))
+    return SolveOutcome(x=_solve(base, upd, ws, b, "b"))
 
 
 def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
@@ -459,7 +464,7 @@ def solve_many(base: PreparedBase, upd: LowRankUpdate, ws: UpdateWorkspace,
     mismatched workspace, as :func:`solve_updated` does, and
     NonFiniteValue when any column holds NaN or infinity.
     """
-    return _solve(base, upd, ws, _operand(bs, "bs", base.a.shape[0], (2,)))
+    return _solve(base, upd, ws, _operand(bs, "bs", base.a.shape[0], (2,)), "bs")
 
 
 def baseline_solve(a, u, v, b) -> np.ndarray:

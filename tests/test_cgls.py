@@ -88,6 +88,9 @@ def test_dimension_and_config_validation():
         normal_cg_solve(np.eye(3), np.ones(3))
     with pytest.raises(NonFiniteValue):
         normal_cg_solve(np.eye(3), np.array([[1.0], [np.nan], [0.0]]))
+    # An (n, 0) block is refused, as woodbury's solvers refuse one.
+    with pytest.raises(DimensionMismatch, match=r"^c must be an \(3, k\) matrix, got shape \(3, 0\)$"):
+        normal_cg_solve(np.eye(3), np.ones((3, 0)))
 
 
 @pytest.mark.filterwarnings("error")

@@ -1,0 +1,56 @@
+"""tools/pairs.py: the summary of paired runs and its refusal of unclean runs."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "pairs.py"
+_spec = importlib.util.spec_from_file_location("pairs", _PATH)
+pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(pairs)
+
+METRICS = [{"name": "op_ms_p50", "better": "lower", "bound": 0.25},
+           {"name": "ops_per_s", "better": "higher", "bound": 0.25}]
+
+
+def _report_lines(parent, change, capsys):
+    pairs.report(METRICS, parent, change)
+    return dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines()[1:])
+
+
+def test_report_counts_wins_by_direction(capsys):
+    parent = [{"op_ms_p50": 10.0, "ops_per_s": 100.0}] * 3
+    change = [{"op_ms_p50": t, "ops_per_s": q} for t, q in [(9.0, 90.0), (11.0, 110.0), (9.5, 120.0)]]
+    lines = _report_lines(parent, change, capsys)
+    assert " 2/3 " in lines["op_ms_p50"] and lines["op_ms_p50"].endswith("no (-5.0% against 25%)")
+    assert " 2/3 " in lines["ops_per_s"] and lines["ops_per_s"].endswith("no (-10.0% against 25%)")
+
+
+def test_report_flags_a_metric_worse_than_its_bound(capsys):
+    parent = [{"op_ms_p50": 10.0, "ops_per_s": 100.0}]
+    change = [{"op_ms_p50": 13.0, "ops_per_s": 70.0}]
+    lines = _report_lines(parent, change, capsys)
+    assert lines["op_ms_p50"].endswith("yes (+30.0% against 25%)")
+    assert lines["ops_per_s"].endswith("yes (+30.0% against 25%)")
+
+
+def test_quartiles_of_one_run_are_that_run():
+    assert pairs.quartiles([4.0]) == (4.0, 4.0)
+    assert pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 4.0)
+
+
+@pytest.mark.parametrize("result", [
+    {"correct": False, "failed": 0, "metrics": {"setup_s": {"value": 1.0}}},
+    {"correct": True, "failed": 2, "metrics": {"setup_s": {"value": 1.0}}},
+    {"correct": True, "failed": 0, "metrics": {"setup_s": {"value": None}}},
+])
+def test_run_once_refuses_an_unclean_run(tmp_path, result):
+    (tmp_path / "benchmark").mkdir()
+    (tmp_path / "benchmark" / "run.py").write_text(f"print({json.dumps(json.dumps(result))})\n")
+    args = SimpleNamespace(workload="w", seed=1, seconds=1.0)
+    with pytest.raises(SystemExit, match="not clean"):
+        pairs.run_once(tmp_path, [sys.executable, "benchmark/run.py"], args)

@@ -332,7 +332,7 @@ def _counting_householder_qr(monkeypatch):
 # unless that is 2000 x 100.
 CERTIFIED_THROUGH = {(2000, 100): 3e4, (6000, 300): 1e4}
 ENVELOPE = [pytest.param(m, n, cond, id=repr(cond) if m == 2000 else f"{cond!r}-{m}x{n}")
-            for m, n in CERTIFIED_THROUGH for cond in [1e2, 1e4, 3e4, 1e5, 1e6, 1e10]]
+            for m, n in CERTIFIED_THROUGH for cond in [1e2, 1e3, 1e4, 3e4, 1e5, 1e6, 1e10]]
 
 
 @pytest.mark.parametrize("m,n,cond", ENVELOPE)
@@ -400,16 +400,24 @@ UPDATE_CELLS = [
     _cell(1.0, "zero"),                       # 1.6x-1.7x
     _cell(1.0, "large"),                      # 0.5x-0.6x
     _cell(1e2, "zero", marks=ITEM_4),         # 206x-872x
+    _cell(1e3, "zero", marks=ITEM_4),         # 1.7e4x-3.9e4x
+    _cell(1e3, "large", marks=ITEM_4),        # 36.8x-49.1x
     _cell(1e4, "zero", marks=ITEM_4),         # 1.3e6x-2.6e6x
     _cell(1e4, "large", marks=ITEM_4),        # 164x-238x
+    _cell(1e5, "zero", marks=ITEM_7),
+    _cell(1e5, "large", marks=ITEM_7),
     _cell(1e6, "zero", marks=ITEM_7),
     _cell(1e6, "large", marks=ITEM_7),
     _cell(1.0, "zero", 1e-4),                 # 0.51x-0.52x
     _cell(1.0, "large", 1e-4),                # 0.73x
     _cell(1e2, "zero", 1e-4),                 # 0.29x-0.32x
     _cell(1e2, "large", 1e-4),                # 0.19x-0.21x
+    _cell(1e3, "zero", 1e-4, marks=ITEM_7),   # cond(ahat) 896
+    _cell(1e3, "large", 1e-4, marks=ITEM_7),
     _cell(1e4, "zero", 1e-4, marks=ITEM_7),
     _cell(1e4, "large", 1e-4, marks=ITEM_7),
+    _cell(1e5, "zero", 1e-4, marks=ITEM_7),
+    _cell(1e5, "large", 1e-4, marks=ITEM_7),
     _cell(1e6, "zero", 1e-4, marks=ITEM_7),
     _cell(1e6, "large", 1e-4, marks=ITEM_7),
 ]
@@ -440,7 +448,7 @@ def _known_solution_update(cond, residual, update_scale=1e-2):
     return a, u, v, b + res, x_t, bound
 
 
-@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4])
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e3, 1e4, 1e5])
 @pytest.mark.parametrize("residual", ["zero", "large"])
 def test_baseline_within_sensitivity_bound(cond, residual):
     # Householder QR of the updated matrix: at most 0.59x its bound here.
@@ -798,7 +806,7 @@ def test_solve_rejects_non_finite_fresh_rhs(bad):
     b2[4] = bad
     with pytest.raises(NonFiniteValue, match="b contains"):
         solve_updated(base, upd, ws, b2)
-    with pytest.raises(NonFiniteValue, match="b contains"):
+    with pytest.raises(NonFiniteValue, match="bs contains"):
         solve_many(base, upd, ws, np.column_stack([b, b2]))
     with pytest.raises(NonFiniteValue, match="c contains"):
         base_lstsq(base, b2)
