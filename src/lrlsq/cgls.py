@@ -75,10 +75,11 @@ def normal_cg_solve(a, c):
     c is an n x q block, q >= 1. Returns ``(z, steps)``: z has c's shape,
     and steps[j] counts the CG steps of column j.
 
-    Raises TypeError when c is complex, DimensionMismatch when c is not
-    an n x q block, and NonFiniteValue when c holds NaN or infinity, all
-    by ``lrlsq.woodbury``'s checks; and ConvergenceFailure, naming the
-    columns, when any column misses ``TOL`` within the step cap.
+    Raises TypeError when c is not a bool, integer or float array,
+    DimensionMismatch when c is not an n x q block, and NonFiniteValue
+    when c holds NaN or infinity, all by ``lrlsq.woodbury``'s checks; and
+    ConvergenceFailure, naming the columns, when any column misses ``TOL``
+    within the step cap.
     """
     n = a.shape[1]
     c = _operand(c, "c", n, (2,))

@@ -108,10 +108,11 @@ def write_matrix(path, mat) -> None:
     """Write a matrix (or a vector, stored as one column) as MatrixMarket.
 
     Values go out column-major with 17 significant digits; reading the file
-    back reproduces the input exactly. Raises TypeError for a complex
-    array rather than drop its imaginary part, DimensionMismatch for an
-    empty array or one of more than two axes, and NonFiniteValue for NaN
-    or infinity.
+    back reproduces the input exactly. Raises TypeError for an array that
+    is not bool, integer or float (a complex one, whose imaginary part
+    would be dropped, or an object or string one), DimensionMismatch for
+    an empty array or one of more than two axes, and NonFiniteValue for
+    NaN or infinity.
     """
     mat = _real(mat, "mat")
     if mat.ndim == 1:

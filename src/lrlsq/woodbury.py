@@ -39,8 +39,10 @@ solves. Skinny products are written with the skinny operand on the left,
 OpenBLAS (see the README's performance note).
 
 ``prepare``, ``LowRankUpdate``, ``ata_solve``, the solvers and
-``updated_normal_residual`` take their arrays as float64 and raise
-TypeError for a complex one rather than drop its imaginary part.
+``updated_normal_residual`` take bool, integer and float arrays as
+float64, and raise TypeError for any other dtype: a complex array, whose
+imaginary part the cast would drop, and an object or string array,
+``None`` included, which the cast would parse or turn into NaN.
 Each input rule is written once, here, and ``lrlsq.cgls`` and
 ``lrlsq.mio`` call the same checks: ``_real`` (realness and the float64
 cast), ``_require_finite`` (no NaN or infinity) and ``_operand`` (the
@@ -170,10 +172,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _real(x, name: str) -> np.ndarray:
-    """x as a float64 array; raises TypeError when x is complex, whose
-    imaginary part the conversion would drop."""
+    """x as a float64 array. Admits bool, integer and float arrays by their
+    dtype kind; raises TypeError naming the dtype for any other, such as a
+    complex array, whose imaginary part the cast would drop, or an object
+    or string array (``None`` among them), which the cast would parse or
+    turn into NaN."""
     x = np.asarray(x)
-    if np.iscomplexobj(x):
+    if x.dtype.kind not in "biuf":
         raise TypeError(f"{name} must be real, got dtype {x.dtype}")
     return np.asarray(x, dtype=np.float64)
 
@@ -226,7 +231,8 @@ def updated_normal_residual(a, u, v, x, b) -> float:
 
     x is a length-n vector and b a length-m one, or x is n x k and b
     m x k; u is m x r and v n x r. Raises DimensionMismatch for any other
-    shapes, and TypeError for a complex operand. It screens no finiteness:
+    shapes, and TypeError for an operand that is not a bool, integer or
+    float array. It screens no finiteness:
     a NaN or infinity comes back as the result.
     """
     a = _base_matrix(a)
@@ -489,7 +495,7 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     """
     a = _base_matrix(a)
     m, n = a.shape
-    b = _operand(b, "b", m, (1,))  # None fails the shape check
+    b = _operand(b, "b", m, (1,))
     _require_finite(b, "b")
     upd = LowRankUpdate(u, v)
     _conforming(upd, m, n)

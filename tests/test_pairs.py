@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -36,6 +37,29 @@ def test_report_flags_a_metric_worse_than_its_bound(capsys):
     lines = _report_lines(parent, change, capsys)
     assert lines["op_ms_p50"].endswith("yes (+30.0% against 25%)")
     assert lines["ops_per_s"].endswith("yes (+30.0% against 25%)")
+
+
+# Ten parent runs with op_ms_p50 from 10.0 to 11.8 ms, quartiles 10.45 and
+# 11.35 ms, and ops_per_s from the same times.
+_PARENT = [10.0 + 0.2 * i for i in range(10)]
+
+
+def _runs(times):
+    return [{"op_ms_p50": t, "ops_per_s": 1e3 / t} for t in times]
+
+
+@pytest.mark.parametrize("shift, ties_and_losses, shown", [
+    (-1.0, [], "shown"),        # better in 10/10, medians 1.0 apart
+    (-1.0, [0.0, 3.0], "no"),   # a tie and a loss: better in 8/10
+    (-0.5, [], "no"),           # better in 10/10, but within the spread
+], ids=["gain", "too-few-wins", "within-spread"])
+def test_report_shows_a_gain_only_on_wins_and_spread(capsys, shift, ties_and_losses, shown):
+    change = [t + shift for t in _PARENT]
+    for i, delta in enumerate(ties_and_losses):
+        change[i] = _PARENT[i] + delta
+    lines = _report_lines(_runs(_PARENT), _runs(change), capsys)
+    for name in ("op_ms_p50", "ops_per_s"):
+        assert re.search(rf" {10 - len(ties_and_losses)}/10 +{shown}  no ", lines[name]), lines[name]
 
 
 def test_quartiles_of_one_run_are_that_run():

@@ -12,16 +12,21 @@ a failed operation or reports a null metric stops the comparison (exit 1).
 
 For every end-to-end metric of ``BENCHMARK.json`` it prints the parent's
 median and quartiles, the change's median, the number of pairs in which
-the change is better, and whether the change's median is worse than the
-parent's by more than the metric's bound, a fraction of the parent's
-median. It reads ``benchmark/`` and writes nothing there: the runs are
-untraced and write no bytecode.
+the change is better, whether that shows a gain, and whether the change's
+median is worse than the parent's by more than the metric's bound, a
+fraction of the parent's median. A gain is shown when the change is
+better in at least nine tenths of the pairs, rounded up, with a tie
+counting for neither side, and its median is better than the parent's
+by more than the parent's quartile spread, q3 - q1. It reads
+``benchmark/`` and writes nothing there: the runs are untraced and
+write no bytecode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -75,7 +80,7 @@ def quartiles(xs: list) -> tuple:
 def report(metrics: list, parent: list, change: list) -> None:
     """Print one line per end-to-end metric for runs paired by index."""
     print(f"{'metric':12} {'parent p50':>11} {'parent q1-q3':>21} {'change p50':>11} "
-          f"{'wins':>6}  worse than bound")
+          f"{'wins':>6} {'gain':>5}  worse than bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         pv = [run[name] for run in parent]
@@ -83,10 +88,12 @@ def report(metrics: list, parent: list, change: list) -> None:
         p50, c50 = statistics.median(pv), statistics.median(cv)
         q1, q3 = quartiles(pv)
         wins = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
+        gain = p50 - c50 if lower else c50 - p50
+        shown = wins >= math.ceil(9 * len(pv) / 10) and gain > q3 - q1
         worse = (c50 - p50 if lower else p50 - c50) / p50
         verdict = f"{'yes' if worse > m['bound'] else 'no'} ({worse:+.1%} against {m['bound']:.0%})"
         print(f"{name:12} {p50:11.4g} {q1:10.4g}-{q3:<10.4g} {c50:11.4g} "
-              f"{wins:3}/{len(pv):<2}  {verdict}")
+              f"{wins:3}/{len(pv):<2} {'shown' if shown else 'no':>5}  {verdict}")
 
 
 def main(argv=None) -> int:
