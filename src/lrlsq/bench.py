@@ -5,8 +5,9 @@ and right-hand side, prepares the base once, then for each repetition draws
 a fresh Gaussian update and times both routes:
 
 * scratch: ``baseline_solve``, which runs Householder QR on
-  ``[a + u v.T | b]``, written block by block into its one buffer, then
-  takes ``R^{-1} (Q.T b)``; everything downstream of the update,
+  ``[a + u v.T | b]``, streamed by row blocks through one buffer whose
+  size does not grow with m (``kernels.householder_qr``), then takes
+  ``R^{-1} (Q.T b)``; everything downstream of the update,
   factorization included;
 * update: build the workspace and solve, with base preparation excluded
   (its reuse is the whole premise).

@@ -21,10 +21,12 @@ length-m b and returns the tuple ``(rinv, x)``, x the least squares
 solution for b, ``rinv @ (q.T @ b)`` with no q formed. It always applies
 and raises from ``_screen``: r and ``q.T @ b`` must be finite and r must
 pass a rank test. It factors ``[a | b]``, optionally with a rank-r term
-``u @ v.T`` added to a, in one Fortran-ordered copy that it frees before
-it inverts r in place. The from-scratch comparator ``baseline_solve``
-stays on Householder alone: it needs no certificate, and the measured
-speedups are quoted against it.
+``u @ v.T`` added to a, by streaming row blocks of ``qr_block(n)`` rows
+through one Fortran-ordered buffer of (n + 1) x (n + 1 + ``qr_block(n)``)
+doubles, so its memory does not grow with m, and frees that buffer
+before it inverts r in place. The from-scratch comparator
+``baseline_solve`` stays on Householder alone: it needs no certificate,
+and the measured speedups are quoted against it.
 
 ``qr_thin`` is ``np.linalg.qr`` and nothing else: the package does not
 call it, and it stays only because the benchmark's ``kernels.qr_thin``
@@ -60,6 +62,15 @@ SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
 # Rows of a per block of the transposed copy in ``householder_qr``; a
 # 256 x n block of a and its n x 256 image stay in the caches together.
 COPY_BLOCK = 256
+
+
+def qr_block(n: int) -> int:
+    """Rows of ``[a | b]`` that ``householder_qr`` factors per block for
+    an a of n columns, beside the (n + 1)-row triangle of the rows before
+    them: at least 2048, and at least 8 (n + 1), so that refactoring the
+    triangle with each block adds at most an eighth to the flops."""
+    return max(2048, 8 * (n + 1))
+
 
 # Rows and columns per block of the blocked Cholesky factorization and
 # triangular inversion, whose diagonal blocks go to ``np.linalg.cholesky``
@@ -119,22 +130,32 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
     """R^{-1} and the least squares solution for b of a tall a, or of
     ``a + u @ v.T``, by Householder QR.
 
-    Copies a and b once into Fortran order, block by block, and runs
-    LAPACK ``geqrf`` in place through ``numpy.linalg.lapack_lite``. None
-    of a, b, u, v is modified. The copy is freed once r and qtb are read
-    off it, before r is screened and then inverted in place
-    (``_invert_upper``): the inversion holds r and one strip of
-    ``TRIANGULAR_LEAF`` columns, and never sits beside the copy.
+    Streams ``[a | b]`` through one Fortran-ordered buffer of
+    (n + 1) x (n + 1 + B) doubles, B = ``qr_block(n)``, a flat-tree
+    sequential TSQR (Demmel, Grigori, Hoemmen & Langou, *Communication-
+    optimal parallel and sequential QR and LU factorizations*, SISC 34(1),
+    2012). Each block of rows is copied below the (n + 1) x (n + 1) upper
+    triangle that the rows before it left, in pieces of ``COPY_BLOCK``
+    rows, and LAPACK ``geqrf`` runs in place on those rows through
+    ``numpy.linalg.lapack_lite``; the reflectors under the new triangle's
+    diagonal are then cleared and the next block taken. The first block
+    fills the whole buffer, so an a of at most n + 1 + B rows is one
+    ``geqrf`` call. None of a, b, u, v is modified. The buffer is freed
+    once r and qtb are read off the last triangle, before r is screened
+    and then inverted in place (``_invert_upper``): the inversion holds r
+    and one strip of ``TRIANGULAR_LEAF`` columns, and never sits beside
+    the buffer.
 
     With a rank-r term (u, v) the factored matrix is ``a + u @ v.T``:
-    each block of it is written straight into the Fortran-ordered buffer,
-    ``v @ u[i:j].T`` by BLAS and then a's block added in place, so no
-    m x n array but that buffer is made.
+    each block of it is written straight into the buffer, ``v @ u[i:j].T``
+    by BLAS and then a's block added in place, so no m x n array is made.
 
     This is Golub's Householder least squares method: the transformations
     that triangularize a also carry b, so the top n entries of the last
     column are ``qtb = q.T @ b``, and ``x = rinv @ qtb`` solves
-    ``min ||a x - b||`` with no q at all.
+    ``min ||a x - b||`` with no q at all. Each block's reflectors carry
+    the triangle's last column with them, so the last triangle holds the
+    qtb of all m rows.
 
     Parameters
     ----------
@@ -161,26 +182,41 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``.
     """
     m, n = a.shape
-    # Row j of qt is column j of [a | b], so qt is [a | b] in Fortran order.
-    # No view of it outlives the block that uses it, so ``del qt`` frees it.
-    qt = np.empty((n + 1, m))
+    # Row j of qt is column j of [a | b] for the rows in hand, so qt holds
+    # them in Fortran order: the (n + 1)-row triangle that the rows already
+    # factored leave in its first n + 1 columns, then the next block of
+    # rows. The first block has no triangle before it and fills all of qt.
+    # No view of qt outlives the block that uses it, so ``del qt`` frees it.
+    width = min(m, n + 1 + qr_block(n))
+    qt = np.empty((n + 1, width))
+    tau = np.empty(n + 1)
+    top = done = 0  # columns of qt that hold the triangle; rows factored
     # A finite update may overflow here; the screen below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, m, COPY_BLOCK):
-            rows = slice(i, i + COPY_BLOCK)
-            if u is None:
-                qt[:n, rows] = a[rows].T
-            else:
-                np.add(np.matmul(v, u[rows].T, out=qt[:n, rows]), a[rows].T,
-                       out=qt[:n, rows])
-    qt[n] = b
-    tau = np.empty(min(m, n + 1))
-    _lapack_lite(lapack_lite.dgeqrf, m, n + 1, qt, max(1, m), tau)
-    r = np.triu(qt[:n, :n].T)
+        while done < m:
+            rows = min(width - top, m - done)
+            for i in range(0, rows, COPY_BLOCK):
+                k = min(i + COPY_BLOCK, rows)
+                src, dst = slice(done + i, done + k), slice(top + i, top + k)
+                if u is None:
+                    qt[:n, dst] = a[src].T
+                else:
+                    np.add(np.matmul(v, u[src].T, out=qt[:n, dst]), a[src].T,
+                           out=qt[:n, dst])
+            qt[n, top:top + rows] = b[done:done + rows]
+            _lapack_lite(lapack_lite.dgeqrf, top + rows, n + 1, qt, width, tau)
+            # Clear the reflectors under the triangle's diagonal. Those in
+            # the block's own rows are overwritten by the next block, and
+            # the last block's are never read.
+            for j in range(n):
+                qt[j, j + 1:n + 1] = 0.0
+            done += rows
+            top = n + 1
+    r = qt[:n, :n].T.copy()  # C-ordered
     qtb = qt[n, :n].copy()
     del qt
     _screen(r, qtb, m, "a" if u is None else "a + u v.T")
-    _invert_upper(r)  # np.triu made r C-ordered
+    _invert_upper(r)
     return r, r @ qtb
 
 

@@ -25,7 +25,9 @@ Q. It first tries one Gram pass over ``a`` and a Cholesky factorization
 bound b by the corrected seminormal equations (CSNE; Björck 1987, LAA
 88/89) through that R^{-1}. Past its certificate, on an ``a`` that is
 ill-conditioned for a Cholesky R, it factors ``[a | b]`` by Householder
-QR in one (n + 1) x m buffer and reads ``Q.T b`` off it. Either way
+QR, streamed by row blocks through one buffer of (n + 1) x (n + 1 + B)
+doubles whatever m is (``kernels.qr_block``), and reads ``Q.T b`` off
+it. Either way
 ``prepare`` keeps only R^{-1}, so a prepared base holds n^2 + n doubles
 beyond ``a`` and the bound b. Any other right-hand side is solved by the
 same CSNE body, from ``a`` and R^{-1} alone. One solve body serves a
@@ -198,15 +200,19 @@ def _operand(x, name: str, rows: int, ndims: tuple) -> np.ndarray:
 
 
 def _require_finite(x: np.ndarray, name: str) -> None:
-    """Raise NonFiniteValue if x holds NaN or infinity.
+    """Raise NonFiniteValue if x, of one axis or more, holds NaN or
+    infinity.
 
-    The test makes a bool temporary the size of x. On the largest x, the
-    base a on ``prepare``'s Householder fallback, the (n + 1) x m buffer
-    that the QR allocates next is 8x larger, so the temporary does not set
-    the peak.
+    x is screened in blocks of rows (of entries, for a vector) of at most
+    ``kernels.COPY_BLOCK`` squared entries, so the bool temporary of the
+    test stays within 64 KiB however large x is. On the largest x, the
+    base a on ``prepare``'s Householder fallback, it is far below the
+    buffer of (n + 1) (n + 1 + B) doubles that the QR allocates next.
     """
-    if not np.isfinite(x).all():
-        raise NonFiniteValue(f"{name} contains NaN or infinite entries")
+    step = max(1, kernels.COPY_BLOCK**2 // max(1, x[:1].size))
+    for i in range(0, len(x), step):
+        if not np.isfinite(x[i:i + step]).all():
+            raise NonFiniteValue(f"{name} contains NaN or infinite entries")
 
 
 def _base_matrix(a) -> np.ndarray:
@@ -266,10 +272,12 @@ def prepare(a, b) -> PreparedBase:
     most two strips of 64 rows or columns: about n^2 + 128 n doubles. The
     base solution x0 for b is then CSNE through that R^{-1} (the body of
     :func:`base_lstsq`): three more passes over ``a``. When it cannot
-    certify its R, because cond(a) is too large for a Cholesky R,
-    ``[a | b]`` is factored by Householder QR in one (n + 1) x m buffer
-    instead, at the cost of the Gram pass already made, and
-    ``kernels.householder_qr`` returns R^{-1} and
+    certify its R, because cond(a) is too large for a Cholesky R, a is
+    screened for NaN and infinity by row blocks and ``[a | b]`` is
+    factored by Householder QR instead, at the cost of the Gram pass
+    already made: ``kernels.householder_qr`` streams it by row blocks
+    through one buffer of (n + 1) x (n + 1 + B) doubles, B =
+    ``kernels.qr_block(n)``, and returns R^{-1} and
     ``x0 = R^{-1} (Q.T b)``, with ``Q.T b`` read off the factorization.
     That buffer is dropped before R is inverted in place. Each path
     inverts its R once, about 2 n^3 / 3 flops, so a declined a pays for
@@ -480,9 +488,10 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     returns the solution ``R^{-1} (Q.T b)`` that ``kernels.householder_qr``
     hands back: it inverts R in place, 2 n^3 / 3 flops, where back
     substitution would take n^2, after it has freed its buffer.
-    ``kernels.householder_qr`` writes ``a + u v.T`` block by block
-    straight into that buffer, so the updated matrix is never formed on
-    its own and the solve holds one m x n array. This is the correctness
+    ``kernels.householder_qr`` streams ``a + u v.T`` by row blocks
+    straight into that buffer, of (n + 1) x (n + 1 + B) doubles with B =
+    ``kernels.qr_block(n)``, so the updated matrix is never formed and
+    the solve holds no array that grows with m. This is the correctness
     oracle and the timing baseline the update path is measured against.
 
     Its inputs are checked as ``prepare`` and ``LowRankUpdate`` check

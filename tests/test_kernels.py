@@ -18,6 +18,7 @@ from lrlsq.kernels import (
     cholesky_rinv,
     householder_qr,
     lu_factor_checked,
+    qr_block,
 )
 from oracles import numerical_rank, pinv_oracle, qr_reference
 
@@ -101,23 +102,119 @@ def test_qr_reference_leaves_input_untouched(order):
 
 # ---------------------------------------------------------- householder_qr
 
-@pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (40, 9), (2 * COPY_BLOCK + 3, 5)])
+def _assert_matches_reference(a, b, rinv, x, tol=1e-13):
+    """rinv and x within tol (relative) of R^{-1} and R^{-1} Q.T b from
+    numpy's QR of a, the call that kernels.qr_thin makes, which shares no
+    code with householder_qr."""
+    q, r = qr_reference(a)
+    ref = np.linalg.inv(r)
+    assert rinv.flags.c_contiguous
+    assert np.linalg.norm(rinv - ref) <= tol * np.linalg.norm(ref)
+    ref_x = ref @ (q.T @ b)
+    assert np.linalg.norm(x - ref_x) <= tol * np.linalg.norm(ref_x)
+
+
+def _first_block(n):
+    """Rows of [a | b] in the first block of householder_qr's stream for
+    an a of n columns, W = n + 1 + B with B = qr_block(n); each later
+    block takes B rows beside the (n + 1)-row triangle of the rows before
+    it."""
+    return n + 1 + qr_block(n)
+
+
+def _stream_edges(n):
+    """(m, n) ids and values at the edges of the stream."""
+    b, w = qr_block(n), _first_block(n)
+    edges = {"B-1": b - 1, "B": b, "B+1": b + 1, "W-1": w - 1, "W": w, "W+1": w + 1,
+             "2B+3": 2 * b + 3, "W+B": w + b, "W+B+1": w + b + 1}
+    return [pytest.param(m, n, id=f"{edge}-n{n}") for edge, m in edges.items()]
+
+
+@pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (9, 1), (40, 9), (2 * COPY_BLOCK + 3, 5)]
+                         + _stream_edges(7) + _stream_edges(300)[-1:])
 def test_householder_qr_matches_qr_thin(m, n):
     # m = n makes [a | b] wider than tall, and m = n + 1 gives b a
     # reflector of its own below the top n rows; m > COPY_BLOCK crosses
-    # block edges of the transposed copy. The reference is numpy's QR, the
-    # call that kernels.qr_thin makes, which shares no code with
-    # householder_qr.
+    # block edges of the transposed copy. Up to W rows [a | b] is one
+    # block, one dgeqrf; W + 1 leaves a second block of one row, 2B + 3 a
+    # short second block, and W + B + 1 a third block of one row. n = 300
+    # takes the 8 (n + 1) rule of qr_block rather than its floor.
     rng = np.random.default_rng(m * 100 + n)
     a = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    q, r = qr_reference(a)
-    rinv, x = householder_qr(a, b)
-    ref = np.linalg.inv(r)
-    assert rinv.flags.c_contiguous
-    assert np.linalg.norm(rinv - ref) <= 1e-13 * np.linalg.norm(ref)
-    ref_x = ref @ (q.T @ b)
-    assert np.linalg.norm(x - ref_x) <= 1e-13 * np.linalg.norm(ref_x)
+    _assert_matches_reference(a, b, *householder_qr(a, b))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("block", ["second", "last"])
+@pytest.mark.parametrize("name", ["a", "u", "b"])
+def test_householder_qr_non_finite_past_first_block(name, block, bad):
+    # The bad entry reaches the triangle only when its block is factored
+    # against the triangle of the blocks before it. v has no rows of
+    # [a | b]: it enters every row of a + u v.T, and
+    # test_householder_qr_non_finite_rank_term covers it.
+    rng = np.random.default_rng(14)
+    n = 4
+    w = _first_block(n)
+    m = w + qr_block(n) + 37
+    args = {"a": rng.standard_normal((m, n)), "b": rng.standard_normal(m),
+            "u": rng.standard_normal((m, 2)), "v": rng.standard_normal((n, 2))}
+    row = w + 5 if block == "second" else m - 1
+    args[name][row] = bad
+    with pytest.raises(NonFiniteValue, match=r"a \+ u v\.T"):
+        householder_qr(**args)
+    if name != "u":
+        with pytest.raises(NonFiniteValue, match=r"\[a \| b\]"):
+            householder_qr(args["a"], args["b"])
+
+
+@pytest.mark.parametrize("duplicated", [False, True])
+def test_householder_qr_column_that_starts_past_first_block(duplicated):
+    # Column 1 of a is zero on the first block's rows, so the triangle of
+    # that block is singular, and the later blocks make it full rank.
+    # Column 4 is then made a copy of column 1, so the rank deficiency
+    # shows only once rows past the first block are factored.
+    rng = np.random.default_rng(15)
+    n = 6
+    w = _first_block(n)
+    m = w + qr_block(n) + 37
+    a = rng.standard_normal((m, n))
+    b = rng.standard_normal(m)
+    a[:w, 1] = 0.0
+    if not duplicated:
+        _assert_matches_reference(a, b, *householder_qr(a, b))
+        return
+    a[:, 4] = a[:, 1]
+    with pytest.raises(RankDeficient):
+        householder_qr(a, b)
+
+
+@pytest.mark.parametrize("rank_term", [False, True])
+def test_householder_qr_memory_does_not_grow_with_m(rank_term):
+    # tracemalloc sees numpy's buffers. householder_qr holds one buffer of
+    # (n + 1) (n + 1 + B) doubles whatever m is; beside it, the n x n r
+    # read off its triangle before it is freed, LAPACK's workspace and tau
+    # (at most 64 (n + 1) doubles), and numpy's ufunc buffers (3 x 8192
+    # doubles) where the rank term is added to a block of a. The inputs
+    # are made before tracing, so m shows nowhere in the bound, and the
+    # peaks at 3B and 12B rows are the same.
+    rng = np.random.default_rng(16)
+    n = 100
+    blk = qr_block(n)
+    bound = 8 * ((n + 1) * (n + 1 + blk) + n * n + 64 * (n + 1) + 3 * 8192)
+    peaks = []
+    for m in (3 * blk, 12 * blk):
+        a = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        uv = (rng.standard_normal((m, 10)), rng.standard_normal((n, 10))) if rank_term else ()
+        tracemalloc.start()
+        try:
+            householder_qr(a, b, *uv)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= bound
+    assert abs(peaks[1] - peaks[0]) <= 1024
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -137,18 +234,22 @@ def test_householder_qr_leaves_input_untouched(order):
 
 
 def test_householder_qr_rank_term_matches_explicit_sum():
-    # m > 2 * COPY_BLOCK with a partial last block: every block of
-    # a + u v.T written into the buffer, the short one included.
+    # m > 2 * COPY_BLOCK with a partial last piece: every piece of
+    # a + u v.T written into the buffer, the short one included. The
+    # second m streams three blocks, the last one short, so pieces of
+    # a + u v.T also land beside the triangle of the blocks before them.
     rng = np.random.default_rng(10)
-    m, n, r = 2 * COPY_BLOCK + 37, 9, 3
-    a = rng.standard_normal((m, n))
-    u = rng.standard_normal((m, r))
-    v = rng.standard_normal((n, r))
-    b = rng.standard_normal(m)
-    rinv, x = householder_qr(a, b, u, v)
-    ref_rinv, ref_x = householder_qr(a + u @ v.T, b)
-    assert np.linalg.norm(rinv - ref_rinv) <= 1e-14 * np.linalg.norm(ref_rinv)
-    assert np.linalg.norm(x - ref_x) <= 1e-14 * np.linalg.norm(ref_x)
+    n, r = 9, 3
+    for m in (2 * COPY_BLOCK + 37, _first_block(n) + qr_block(n) + 37):
+        a = rng.standard_normal((m, n))
+        u = rng.standard_normal((m, r))
+        v = rng.standard_normal((n, r))
+        b = rng.standard_normal(m)
+        rinv, x = householder_qr(a, b, u, v)
+        ref_rinv, ref_x = householder_qr(a + u @ v.T, b)
+        assert np.linalg.norm(rinv - ref_rinv) <= 1e-14 * np.linalg.norm(ref_rinv)
+        assert np.linalg.norm(x - ref_x) <= 1e-14 * np.linalg.norm(ref_x)
+        _assert_matches_reference(a + u @ v.T, b, rinv, x)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -433,14 +433,14 @@ UPDATE_CELLS = [
 ]
 
 
-def _known_solution_update(cond, residual, update_scale=1e-2):
-    """A graded 2000 x 100 a, a rank-5 update with u scaled by
-    update_scale, and b = ahat x_t plus, for "large", a residual
-    orthogonal to range(ahat) of norm ||ahat x_t||, so x_t is the
-    minimizer; returns (a, u, v, b, x_t, bound), bound the sensitivity
-    bound of the updated problem from the SVD of ahat."""
+def _known_solution_update(cond, residual, update_scale=1e-2, m=2000, n=100):
+    """A graded m x n a, a rank-5 update with u scaled by update_scale,
+    and b = ahat x_t plus, for "large", a residual orthogonal to
+    range(ahat) of norm ||ahat x_t||, so x_t is the minimizer; returns
+    (a, u, v, b, x_t, bound), bound the sensitivity bound of the updated
+    problem from the SVD of ahat."""
     rng = np.random.default_rng(5)
-    m, n, r = 2000, 100, 5
+    r = 5
     a = _graded(rng, m, n, cond)[0]
     u = update_scale * rng.standard_normal((m, r))
     v = rng.standard_normal((n, r))
@@ -473,6 +473,46 @@ def test_update_path_within_sensitivity_bound(cond, residual, update_scale):
     # is, a fresh b gives the same bits: x0 and base_lstsq run one CSNE.
     a, u, v, b, x_t, bound = _known_solution_update(cond, residual, update_scale)
     out, *_ = _solve(a, b, u, v)
+    assert np.linalg.norm(out.x - x_t) <= C_BOUND * bound * np.linalg.norm(x_t)
+
+
+# Cells on graded 6000 x 300 bases that prepare declines (cond 3e4 and
+# up), so that R comes from Householder QR, which streams [a | b] through
+# three blocks there (kernels.qr_block). Each takes a b other than the
+# bound one, the fresh-b route. Placed by the grid's rule from the error
+# over the bound, measured at one and two BLAS threads; the capacitance
+# check rejects every update of these cells from cond 1e5 (item 7).
+DECLINED = [3e4, 1e5, 1e6]
+DECLINED_UPDATE_CELLS = [
+    _cell(3e4, "zero", marks=ITEM_4),    # 5.5e7x-8.6e7x; baseline_solve 0.016x
+    _cell(3e4, "large", marks=ITEM_4),   # 983x-1.8e3x; baseline_solve 0.009x
+    _cell(1e5, "zero", marks=ITEM_7),
+    _cell(1e5, "large", marks=ITEM_7),
+]
+
+
+@pytest.mark.parametrize("cond", DECLINED)
+@pytest.mark.parametrize("residual", ["zero", "large"])
+def test_fresh_rhs_on_declined_base_within_sensitivity_bound(cond, residual, monkeypatch):
+    # CSNE through the Householder R^{-1}: 0.020x-0.054x the bound, so it
+    # is gated at the bound itself, as ENVELOPE gates base_lstsq.
+    calls = _counting_householder_qr(monkeypatch)
+    rng = np.random.default_rng(36)
+    a, p = _graded(rng, 6000, 300, cond)
+    c, ref, bound = _fresh_rhs_problem(rng, a, p, cond, residual)
+    base = prepare(a, rng.standard_normal(6000))
+    assert len(calls) == 1
+    assert np.linalg.norm(base_lstsq(base, c) - ref) <= bound * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cond, residual, update_scale", DECLINED_UPDATE_CELLS)
+def test_update_path_fresh_rhs_on_declined_base_within_sensitivity_bound(cond, residual,
+                                                                        update_scale):
+    a, u, v, b, x_t, bound = _known_solution_update(cond, residual, update_scale, 6000, 300)
+    base = prepare(a, np.ones(6000))
+    assert kernels.cholesky_rinv(a) is None
+    upd = LowRankUpdate(u, v)
+    out = solve_updated(base, upd, build_workspace(base, upd), b)
     assert np.linalg.norm(out.x - x_t) <= C_BOUND * bound * np.linalg.norm(x_t)
 
 
@@ -1135,19 +1175,24 @@ def test_baseline_rejects_bad_update_shape(u_shape, v_shape):
 @pytest.mark.parametrize("fn", ["baseline_solve", "prepare", "prepare_6000x300",
                                 "prepare_ill_conditioned"])
 def test_factorization_holds_one_buffer(fn):
-    # tracemalloc sees numpy's buffers. Householder QR factors [. | b] in
-    # one (n + 1) x m buffer; baseline_solve writes a + u v.T straight into
-    # it, with no m x n temporaries of its own. prepare's cholesky_rinv
-    # makes no such buffer: its one n x n array is the Gram matrix, which
-    # it overwrites with R and then R^{-1}, beside at most two strips of
-    # TRIANGULAR_LEAF rows or columns, so it peaks near n^2 + 128 n doubles
-    # (test_cholesky_rinv_working_memory). LAPACK's own copies are not
-    # traced; test_cholesky_rinv_hands_lapack_leaf_blocks_only keeps them
-    # leaf-sized.
+    # tracemalloc sees numpy's buffers. Householder QR streams [. | b]
+    # through one buffer of (n + 1) (n + 1 + B) doubles, B =
+    # kernels.qr_block(n), whatever m is; baseline_solve writes a + u v.T
+    # straight into it, with no m x n temporaries of its own, beside
+    # numpy's ufunc buffers (3 x 8192 doubles) for the sum. R is read off
+    # the buffer's triangle, so one n x n array sits beside it, and the
+    # buffer is dropped before R is inverted in place
+    # (test_householder_qr_memory_does_not_grow_with_m). prepare's
+    # cholesky_rinv makes no such buffer: its one n x n array is the Gram
+    # matrix, which it overwrites with R and then R^{-1}, beside at most
+    # two strips of TRIANGULAR_LEAF rows or columns, so it peaks near
+    # n^2 + 128 n doubles (test_cholesky_rinv_working_memory). LAPACK's own
+    # copies are not traced; test_cholesky_rinv_hands_lapack_leaf_blocks_only
+    # keeps them leaf-sized.
     # The CSNE x0 after it holds R^{-1} and length-m vectors, which weigh
     # 0.3 n^2 each at 3000 x 100 and 0.07 n^2 at 6000 x 300. When it
-    # declines, Householder QR drops its buffer before it inverts R, so R
-    # and that inversion's n x n arrays never sit beside it.
+    # declines, it has freed its Gram matrix and screened a by row blocks
+    # before the QR's buffer is made.
     rng = np.random.default_rng(37)
     m, n = {"prepare_6000x300": (6000, 300),
             "prepare_ill_conditioned": (6000, 200)}.get(fn, (3000, 100))
@@ -1160,11 +1205,11 @@ def test_factorization_holds_one_buffer(fn):
             "prepare": lambda: prepare(a, b),
             "prepare_6000x300": lambda: prepare(a, b),
             "prepare_ill_conditioned": lambda: prepare(ill, b)}[fn]
-    buffer = (n + 1) * m * 8
-    bound = {"baseline_solve": 1.25 * buffer,
+    stream = 8 * ((n + 1) * (n + 1 + kernels.qr_block(n)) + n * n + 3 * 8192)
+    bound = {"baseline_solve": stream,
              "prepare": 8 * 2.25 * n * n,
              "prepare_6000x300": 8 * 2.25 * n * n,
-             "prepare_ill_conditioned": buffer + 2 * n * n * 8}[fn]
+             "prepare_ill_conditioned": stream}[fn]
     tracemalloc.start()
     try:
         call()
