@@ -102,19 +102,20 @@ def _lapack_lite(routine, *args) -> None:
 def _screen(r: np.ndarray, qtb: np.ndarray, m: int, what: str) -> None:
     """Screen a QR's r and qtb, then give r a nonnegative diagonal in place.
 
-    Raises NonFiniteValue unless r (all of it: an entry above the diagonal
-    stays there when the columns to its left need no reflection) and qtb
-    are finite, and RankDeficient when some
-    ``|r[i, i]| <= m * eps * max_j |r[j, j]|``, the usual backward-stable
-    threshold. what names the factored matrix in the messages. The rows of
-    r and the entries of qtb are then multiplied by the signs of r's
-    diagonal, so factors are reproducible across LAPACK builds.
+    Raises NonFiniteValue naming what, the factored matrix, unless r (all
+    of it: an entry above the diagonal stays there when the columns to its
+    left need no reflection) is finite, and naming b when only qtb is not;
+    then RankDeficient when some ``|r[i, i]| <= m * eps * max_j |r[j, j]|``,
+    the usual backward-stable threshold. The rows of r and the entries of
+    qtb are then multiplied by the signs of r's diagonal, so factors are
+    reproducible across LAPACK builds.
     """
     n = r.shape[0]
-    if not (np.isfinite(r).all() and np.isfinite(qtb).all()):
-        raise NonFiniteValue(
-            f"[{what} | b] of shape ({m}, {n + 1}) contains NaN or infinite entries"
-        )
+    # The reflectors of a's columns never read b's, so a NaN or infinity
+    # in b alone leaves r finite.
+    for x, name in ((r, what), (qtb, "b")):
+        if not np.isfinite(x).all():
+            raise NonFiniteValue(f"{name} contains NaN or infinite entries")
     diag = np.abs(np.diag(r))
     if n > 0 and diag.min() <= m * EPS * diag.max():
         raise RankDeficient(
@@ -173,10 +174,10 @@ def householder_qr(a, b, u=None, v=None) -> tuple:
     Raises
     ------
     NonFiniteValue
-        If r or qtb is not finite. Householder QR carries any NaN or
-        infinity of a (or of u and v, or of an overflowing ``u @ v.T``)
-        into r, so this tests the n x n factor instead of making a pass
-        over a.
+        Naming a (or ``a + u v.T``) if r is not finite, and b if only qtb
+        is not. Householder QR carries any NaN or infinity of a (or of u
+        and v, or of an overflowing ``u @ v.T``) into r, so this tests the
+        n x n factor instead of making a pass over a.
     RankDeficient
         If a is numerically rank-deficient: some
         ``|r[i, i]| <= m * eps * max_j |r[j, j]|``.

@@ -200,19 +200,11 @@ def _operand(x, name: str, rows: int, ndims: tuple) -> np.ndarray:
 
 
 def _require_finite(x: np.ndarray, name: str) -> None:
-    """Raise NonFiniteValue if x, of one axis or more, holds NaN or
-    infinity.
-
-    x is screened in blocks of rows (of entries, for a vector) of at most
-    ``kernels.COPY_BLOCK`` squared entries, so the bool temporary of the
-    test stays within 64 KiB however large x is. On the largest x, the
-    base a on ``prepare``'s Householder fallback, it is far below the
-    buffer of (n + 1) (n + 1 + B) doubles that the QR allocates next.
-    """
-    step = max(1, kernels.COPY_BLOCK**2 // max(1, x[:1].size))
-    for i in range(0, len(x), step):
-        if not np.isfinite(x[i:i + step]).all():
-            raise NonFiniteValue(f"{name} contains NaN or infinite entries")
+    """Raise NonFiniteValue if x holds NaN or infinity. No solver screens
+    the base a this way: its factor carries any NaN or infinity of a (see
+    :func:`prepare`)."""
+    if not np.isfinite(x).all():
+        raise NonFiniteValue(f"{name} contains NaN or infinite entries")
 
 
 def _base_matrix(a) -> np.ndarray:
@@ -251,10 +243,11 @@ def updated_normal_residual(a, u, v, x, b) -> float:
         raise DimensionMismatch(f"x and b, and u and v, must share column counts, got "
                                 f"x {x.shape}, b {b.shape}, u {u.shape}, v {v.shape}")
     # An infinity in x or b turns into NaN in these products, which is
-    # passed on below without a warning.
+    # passed on below without a warning. The skinny operand goes on the
+    # left of a, as in _csne.
     with np.errstate(invalid="ignore"):
-        rr = a @ x + u @ (v.T @ x) - b
-        g = a.T @ rr + v @ (u.T @ rr)
+        rr = (x.T @ a.T).T + u @ (v.T @ x) - b
+        g = (rr.T @ a).T + v @ (u.T @ rr)
     # Scaled by its largest entry, so no square overflows or underflows.
     scale = float(np.abs(g).max(initial=0.0))
     if not 0.0 < scale < np.inf:
@@ -272,12 +265,12 @@ def prepare(a, b) -> PreparedBase:
     most two strips of 64 rows or columns: about n^2 + 128 n doubles. The
     base solution x0 for b is then CSNE through that R^{-1} (the body of
     :func:`base_lstsq`): three more passes over ``a``. When it cannot
-    certify its R, because cond(a) is too large for a Cholesky R, a is
-    screened for NaN and infinity by row blocks and ``[a | b]`` is
-    factored by Householder QR instead, at the cost of the Gram pass
-    already made: ``kernels.householder_qr`` streams it by row blocks
-    through one buffer of (n + 1) x (n + 1 + B) doubles, B =
-    ``kernels.qr_block(n)``, and returns R^{-1} and
+    certify its R, because cond(a) is too large for a Cholesky R or a
+    holds NaN or infinity, ``[a | b]`` is factored by Householder QR
+    instead, at the cost of the Gram pass already made:
+    ``kernels.householder_qr`` streams it by row blocks through one buffer
+    of (n + 1) x (n + 1 + B) doubles, B = ``kernels.qr_block(n)``, and
+    returns R^{-1} and
     ``x0 = R^{-1} (Q.T b)``, with ``Q.T b`` read off the factorization.
     That buffer is dropped before R is inverted in place. Each path
     inverts its R once, about 2 n^3 / 3 flops, so a declined a pays for
@@ -291,7 +284,10 @@ def prepare(a, b) -> PreparedBase:
 
     Raises DimensionMismatch unless a is 2-D with m >= n >= 1 and b is a
     length-m vector; NonFiniteValue when a or b holds NaN or infinity;
-    and RankDeficient when a lacks full column rank.
+    and RankDeficient when a lacks full column rank. No pass over a
+    screens it: a NaN or infinity in a makes ``a.T a``'s diagonal
+    non-finite, which ``kernels.cholesky_rinv`` declines, and then R,
+    which ``kernels.householder_qr``'s screen reports as a's.
     """
     a = _base_matrix(a)
     b = _operand(b, "b", a.shape[0], (1,))
@@ -300,10 +296,6 @@ def prepare(a, b) -> PreparedBase:
     if rinv is not None:
         x0 = _csne(a, rinv, b)
     else:
-        # cholesky_rinv declines on any NaN or infinity in a, which makes
-        # the matching diagonal entry of a.T a non-finite; only this path
-        # needs the pass over a that names it.
-        _require_finite(a, "a")
         rinv, x0 = kernels.householder_qr(a, b)
     return PreparedBase(a=a, rinv=_freeze(rinv), b=_freeze(b.copy()), x0=_freeze(x0))
 
@@ -495,7 +487,7 @@ def baseline_solve(a, u, v, b) -> np.ndarray:
     oracle and the timing baseline the update path is measured against.
 
     Its inputs are checked as ``prepare`` and ``LowRankUpdate`` check
-    them, except that the finiteness of a is read off the factor, through
+    them: the finiteness of a is read off the factor, through
     ``householder_qr``'s screen, so the timed solve makes no extra pass
     over a. Raises NonFiniteValue when a, u, v or b holds NaN or infinity,
     RankDeficient when ``a + u v.T`` lacks full column rank, and

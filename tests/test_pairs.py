@@ -62,6 +62,40 @@ def test_report_shows_a_gain_only_on_wins_and_spread(capsys, shift, ties_and_los
         assert re.search(rf" {10 - len(ties_and_losses)}/10 +{shown}  no ", lines[name]), lines[name]
 
 
+def test_report_leaves_out_a_stalled_pair(capsys):
+    # One parent run of ten stalled at 48.9x the session's median: that
+    # pair counts in neither the wins nor the medians, and the gain over
+    # the other nine still shows.
+    parent, change = list(_PARENT), [t - 1.5 for t in _PARENT]
+    parent[3] = 489.0
+    lines = _report_lines(_runs(parent), _runs(change), capsys)
+    assert re.match(r"11 +10.4-11.4 +9.5 +9/9 +shown  no ", lines["op_ms_p50"]), lines["op_ms_p50"]
+    assert lines["stalled"] == "pairs: 4 of 10"
+
+
+def test_report_shows_no_gain_when_a_stalled_host_reads_as_one(capsys):
+    # A parent run read 489 ms against the workload's usual 17.8 ms, and
+    # the change won the other four pairs by a hair; counted as it stands,
+    # that read as a gain. One stalled pair in five is more than one in ten.
+    parent = _runs([17.8, 489.0, 17.9, 17.85, 17.95])
+    change = _runs([17.7, 17.75, 17.8, 17.7, 17.85])
+    lines = _report_lines(parent, change, capsys)
+    for name in ("op_ms_p50", "ops_per_s"):
+        assert re.search(r" 4/4 +no  no ", lines[name]), lines[name]
+    assert lines["stalled"] == "pairs: 2 of 5"
+
+
+def test_stalled_pairs_on_either_side_and_any_time_metric():
+    metrics = [{"name": n} for n in ("setup_s", "op_ms_p50", "op_ms_p95", "ops_per_s")]
+    run = {"setup_s": 0.3, "op_ms_p50": 17.8, "op_ms_p95": 22.0, "ops_per_s": 50.0}
+    parent, change = [dict(run) for _ in range(6)], [dict(run) for _ in range(6)]
+    parent[1]["setup_s"] = 1.0      # 3.3x the median
+    change[4]["op_ms_p95"] = 67.0   # 3.05x
+    parent[5]["op_ms_p50"] = 53.0   # 2.98x: not stalled
+    change[2]["ops_per_s"] = 1.0    # not a time metric
+    assert pairs.stalled_pairs(metrics, parent, change) == [1, 4]
+
+
 def test_quartiles_of_one_run_are_that_run():
     assert pairs.quartiles([4.0]) == (4.0, 4.0)
     assert pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 4.0)

@@ -305,12 +305,18 @@ def test_prepared_base_holds_arrays_of_at_most_n_squared_entries():
             assert value.size <= n * n, field.name
 
 
-def _graded(rng, m, n, cond):
-    """a = P diag(s) Q' with Haar-random P, Q and s log-spaced from 1 to
-    1/cond, so ||a||_2 = 1 and cond(a) = cond; returns (a, P)."""
+def _with_spectrum(rng, m, n, s):
+    """a = P diag(s) Q' with Haar-random m x n P and n x n Q, so a's
+    singular values are s; returns (a, P)."""
     p, _ = np.linalg.qr(rng.standard_normal((m, n)))
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (p * np.geomspace(1.0, 1.0 / cond, n)) @ q.T, p
+    return (p * s) @ q.T, p
+
+
+def _graded(rng, m, n, cond):
+    """``_with_spectrum`` with s log-spaced from 1 to 1/cond, so
+    ||a||_2 = 1 and cond(a) = cond; returns (a, P)."""
+    return _with_spectrum(rng, m, n, np.geomspace(1.0, 1.0 / cond, n))
 
 
 def _counting_householder_qr(monkeypatch):
@@ -543,6 +549,40 @@ def test_fresh_rhs_on_column_scaled_base_within_sensitivity_bound(m, n, scale, r
         assert np.linalg.norm(x - ref) <= C_BOUND / 3 * bound * np.linalg.norm(ref)
 
 
+# Spiked spectra, flat but for one singular value: sigma_n = 1 / cond
+# ("one small") or sigma_1 = cond ("one large"). The Hoelder kappa
+# certifies every 2000 x 100 cell here, and the 6000 x 300 cells at cond
+# 1e4 only.
+SPIKED_CERTIFIED_THROUGH = {(2000, 100): 1e5, (6000, 300): 1e4}
+SPIKED = [pytest.param(kind, m, n, cond, id=f"{kind.replace(' ', '-')}-{cond!r}-{m}x{n}")
+          for kind in ["one small", "one large"] for m, n in SPIKED_CERTIFIED_THROUGH
+          for cond in [1e4, 1e5]]
+
+
+@pytest.mark.parametrize("kind,m,n,cond", SPIKED)
+@pytest.mark.parametrize("residual", ["zero", "large"])
+def test_fresh_rhs_on_spiked_base_within_sensitivity_bound(kind, m, n, cond, residual,
+                                                          monkeypatch):
+    # Measured at one and two BLAS threads, x0 and base_lstsq land at
+    # 0.0044x-0.42x the bound on "one small" but 2.32x-2.34x at 2000 x 100,
+    # cond 1e5, zero residual, where Householder QR itself reads 2.33x; on
+    # "one large" at most 0.091x. As for the column-scaled family, the
+    # gate is C_BOUND / 3.
+    calls = _counting_householder_qr(monkeypatch)
+    rng = np.random.default_rng(36)
+    s = np.ones(n)
+    if kind == "one small":
+        s[-1] = 1.0 / cond
+    else:
+        s[0] = cond
+    a, p = _with_spectrum(rng, m, n, s)
+    b, ref, bound = _fresh_rhs_problem(rng, a, p, cond, residual)
+    base = prepare(a, b)
+    assert len(calls) == (0 if cond <= SPIKED_CERTIFIED_THROUGH[m, n] else 1)
+    for x in (base.x0, base_lstsq(base, b)):
+        assert np.linalg.norm(x - ref) <= C_BOUND / 3 * bound * np.linalg.norm(ref)
+
+
 @ITEM_7
 def test_full_rank_update_of_ill_conditioned_base_raises_no_rank_error():
     # a + u v.T keeps full column rank: cond 1.0e10, as cond(a), and
@@ -618,8 +658,9 @@ def test_declined_prepare_is_householder_prepare(case, monkeypatch):
 
 
 def test_prepare_reads_finiteness_of_a_only_on_householder_path(monkeypatch):
-    # A certified cholesky_rinv already vouches that a is finite; only the
-    # Householder fallback screens a itself.
+    # Neither path screens a itself. A certified cholesky_rinv vouches that
+    # a is finite; a NaN or infinity makes it decline, and the Householder
+    # fallback finds it in its R, whatever a's layout.
     calls = []
     real = woodbury._require_finite
 
@@ -630,10 +671,18 @@ def test_prepare_reads_finiteness_of_a_only_on_householder_path(monkeypatch):
     monkeypatch.setattr(woodbury, "_require_finite", counting)
     rng = np.random.default_rng(42)
     b = rng.standard_normal(400)
+    householder = _counting_householder_qr(monkeypatch)
     prepare(rng.standard_normal((400, 40)), b)
-    assert calls.count("a") == 0
     prepare(_graded(rng, 400, 40, 1e10)[0], b)
-    assert calls.count("a") == 1
+    assert len(householder) == 1
+    for bad in (np.nan, np.inf, -np.inf):
+        for order in ("C", "F"):
+            a = np.array(rng.standard_normal((400, 40)), order=order)
+            a[123, 7] = bad
+            with pytest.raises(NonFiniteValue, match="^a contains NaN or infinite entries$"):
+                prepare(a, b)
+    assert len(householder) == 7
+    assert calls == ["b"] * 8
 
 
 @pytest.mark.parametrize("m,n", [(6, 6), (7, 6), (12, 1), (30, 5)])
@@ -796,6 +845,19 @@ def test_normal_equations_certificate_rejects_mismatched_operands(name, bad, err
     args[name] = bad(args[name])
     with pytest.raises(error):
         updated_normal_residual(**args)
+
+
+def test_normal_equations_certificate_matches_plain_products():
+    # The certificate puts the skinny operand on the left of a; on an x
+    # that solves nothing, vector or block, it agrees with a @ x and
+    # a.T @ rr written plainly.
+    rng = np.random.default_rng(49)
+    a, u, v = (rng.standard_normal(s) for s in ((300, 20), (300, 2), (20, 2)))
+    for k in ((), (16,)):
+        x, b = rng.standard_normal((20, *k)), rng.standard_normal((300, *k))
+        rr = a @ x + u @ (v.T @ x) - b
+        want = np.linalg.norm(a.T @ rr + v @ (u.T @ rr))
+        assert abs(updated_normal_residual(a, u, v, x, b) - want) <= 1e-12 * want
 
 
 def test_normal_equations_certificate_of_a_block():
@@ -1191,8 +1253,8 @@ def test_factorization_holds_one_buffer(fn):
     # keeps them leaf-sized.
     # The CSNE x0 after it holds R^{-1} and length-m vectors, which weigh
     # 0.3 n^2 each at 3000 x 100 and 0.07 n^2 at 6000 x 300. When it
-    # declines, it has freed its Gram matrix and screened a by row blocks
-    # before the QR's buffer is made.
+    # declines, it has freed its Gram matrix before the QR's buffer is
+    # made.
     rng = np.random.default_rng(37)
     m, n = {"prepare_6000x300": (6000, 300),
             "prepare_ill_conditioned": (6000, 200)}.get(fn, (3000, 100))

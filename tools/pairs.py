@@ -17,7 +17,14 @@ median is worse than the parent's by more than the metric's bound, a
 fraction of the parent's median. A gain is shown when the change is
 better in at least nine tenths of the pairs, rounded up, with a tie
 counting for neither side, and its median is better than the parent's
-by more than the parent's quartile spread, q3 - q1. It reads
+by more than the parent's quartile spread, q3 - q1.
+
+A run is stalled when its ``setup_s``, ``op_ms_p50`` or ``op_ms_p95`` is
+more than three times that metric's median over every run of the
+session, both sides; a host that stalls for a while can make one side
+look many times slower. The summary names the pairs with a stalled run
+and leaves them out of the wins, the medians and the gain test, and it
+shows no gain when more than one pair in ten stalled. It reads
 ``benchmark/`` and writes nothing there: the runs are untraced and
 write no bytecode.
 """
@@ -34,6 +41,8 @@ import sys
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parents[1]
+STALL_METRICS = ("setup_s", "op_ms_p50", "op_ms_p95")
+STALL_FACTOR = 3.0
 
 
 def parse_args(argv):
@@ -77,23 +86,39 @@ def quartiles(xs: list) -> tuple:
     return q1, q3
 
 
+def stalled_pairs(metrics: list, parent: list, change: list) -> list:
+    """Indices of the pairs in which either run is stalled (see the module
+    docstring), judged on those of ``STALL_METRICS`` that metrics names."""
+    names = [m["name"] for m in metrics if m["name"] in STALL_METRICS]
+    limit = {name: STALL_FACTOR * statistics.median(run[name] for run in parent + change)
+             for name in names}
+    return [i for i, pair in enumerate(zip(parent, change))
+            if any(run[name] > limit[name] for run in pair for name in names)]
+
+
 def report(metrics: list, parent: list, change: list) -> None:
-    """Print one line per end-to-end metric for runs paired by index."""
+    """Print one line per end-to-end metric for runs paired by index, over
+    the pairs that did not stall, then the pairs that did."""
+    stalled = stalled_pairs(metrics, parent, change)
+    kept = [i for i in range(len(parent)) if i not in stalled]
     print(f"{'metric':12} {'parent p50':>11} {'parent q1-q3':>21} {'change p50':>11} "
           f"{'wins':>6} {'gain':>5}  worse than bound")
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
-        pv = [run[name] for run in parent]
-        cv = [run[name] for run in change]
+        pv = [parent[i][name] for i in kept]
+        cv = [change[i][name] for i in kept]
         p50, c50 = statistics.median(pv), statistics.median(cv)
         q1, q3 = quartiles(pv)
         wins = sum((c < p) if lower else (c > p) for p, c in zip(pv, cv))
         gain = p50 - c50 if lower else c50 - p50
-        shown = wins >= math.ceil(9 * len(pv) / 10) and gain > q3 - q1
+        shown = (wins >= math.ceil(9 * len(pv) / 10) and gain > q3 - q1
+                 and 10 * len(stalled) <= len(parent))
         worse = (c50 - p50 if lower else p50 - c50) / p50
         verdict = f"{'yes' if worse > m['bound'] else 'no'} ({worse:+.1%} against {m['bound']:.0%})"
         print(f"{name:12} {p50:11.4g} {q1:10.4g}-{q3:<10.4g} {c50:11.4g} "
               f"{wins:3}/{len(pv):<2} {'shown' if shown else 'no':>5}  {verdict}")
+    print(f"stalled pairs: {', '.join(str(i + 1) for i in stalled) or 'none'} "
+          f"of {len(parent)}")
 
 
 def main(argv=None) -> int:
